@@ -135,6 +135,12 @@ TEST(RowBatchTest, MoveRowsToHonorsSelectionAndClears) {
 struct CorpusQuery {
   const char* sql;
   bool ordered;  // compare in result order instead of sorted
+  // Set for a LIMIT without ORDER BY: the same query without the LIMIT.
+  // SQL leaves which rows such a LIMIT keeps undefined. Serially the scan
+  // order fixes them, but under parallelism the order in which GATHER
+  // receives the workers' batches picks them, so there only the row count
+  // and that the rows come from this query's result are checked.
+  const char* unlimited = nullptr;
 };
 
 const CorpusQuery kCorpus[] = {
@@ -147,7 +153,7 @@ const CorpusQuery kCorpus[] = {
     {"SELECT v, COUNT(*), SUM(k) FROM a GROUP BY v", false},
     {"SELECT DISTINCT v FROM a", false},
     {"SELECT k, v FROM a ORDER BY v, k LIMIT 100", true},
-    {"SELECT k FROM a LIMIT 37", false},
+    {"SELECT k FROM a LIMIT 37", false, "SELECT k FROM a"},
     {"SELECT k FROM a WHERE EXISTS "
      "(SELECT 1 FROM b WHERE b.k = a.k AND b.x > 100)",
      false},
@@ -196,12 +202,12 @@ class BatchDifferentialTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n  in: " << sql;
     if (!r.ok()) return {};
     std::vector<Row> rows = r.TakeValue();
-    if (!ordered) {
-      std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-        return a.CompareTotal(b) < 0;
-      });
-    }
+    if (!ordered) std::sort(rows.begin(), rows.end(), RowLess);
     return rows;
+  }
+
+  static bool RowLess(const Row& a, const Row& b) {
+    return a.CompareTotal(b) < 0;
   }
 
   void SetExec(size_t batch_size, size_t parallelism) {
@@ -216,8 +222,11 @@ TEST_F(BatchDifferentialTest, BatchSizesAndParallelismAgree) {
   // Reference: the pinned row-at-a-time protocol.
   SetExec(1, 1);
   std::vector<std::vector<Row>> reference;
+  std::vector<std::vector<Row>> unlimited;  // sorted; empty unless set
   for (const CorpusQuery& q : kCorpus) {
     reference.push_back(Run(q.sql, q.ordered));
+    unlimited.push_back(q.unlimited != nullptr ? Run(q.unlimited, false)
+                                               : std::vector<Row>{});
   }
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     for (size_t parallelism : {size_t{1}, size_t{4}}) {
@@ -225,6 +234,18 @@ TEST_F(BatchDifferentialTest, BatchSizesAndParallelismAgree) {
       SetExec(batch_size, parallelism);
       for (size_t i = 0; i < std::size(kCorpus); ++i) {
         std::vector<Row> got = Run(kCorpus[i].sql, kCorpus[i].ordered);
+        if (kCorpus[i].unlimited != nullptr && parallelism > 1) {
+          EXPECT_EQ(got.size(), reference[i].size())
+              << "batch_size=" << batch_size << " parallelism=" << parallelism
+              << "\n  in: " << kCorpus[i].sql;
+          EXPECT_TRUE(std::includes(unlimited[i].begin(), unlimited[i].end(),
+                                    got.begin(), got.end(), RowLess))
+              << "rows not drawn from " << kCorpus[i].unlimited
+              << "\n  batch_size=" << batch_size
+              << " parallelism=" << parallelism
+              << "\n  in: " << kCorpus[i].sql;
+          continue;
+        }
         EXPECT_EQ(got, reference[i])
             << "batch_size=" << batch_size << " parallelism=" << parallelism
             << "\n  in: " << kCorpus[i].sql;

@@ -6,6 +6,7 @@
 
 #include "engine/database.h"
 #include "engine/plan_cache.h"
+#include "exec/executor.h"
 
 namespace starburst {
 namespace {
@@ -103,8 +104,16 @@ TEST_F(PlanCacheTest, CachedPlanSeesFreshData) {
 
 TEST_F(PlanCacheTest, KnobChangeMissesInsteadOfInvalidating) {
   const std::string q = "SELECT id FROM t WHERE grp = 1";
+  // The default parallelism is the host's core count, so both values
+  // below are taken from it rather than written as constants.
+  const size_t default_parallelism =
+      exec::Executor::Options::DefaultParallelism();
   Run(q);
-  Run("SET PARALLELISM = 4");
+  // Setting a knob to the value already in effect is not a knob change.
+  Run("SET PARALLELISM = " + std::to_string(default_parallelism));
+  Run(q);
+  EXPECT_TRUE(M().plan_cache_hit);  // same knob values, same key
+  Run("SET PARALLELISM = " + std::to_string(default_parallelism + 1));
   Run(q);
   EXPECT_FALSE(M().plan_cache_hit);  // different knob fingerprint
   EXPECT_EQ(M().plan_cache.invalidations, 0u);
