@@ -66,7 +66,8 @@ int main() {
   auto parts = MakePartsDb(40);
   MustExec(parts.get(), "SET PLAN_CACHE_SIZE = 0");
   for (bool rewrite_on : {true, false}) {
-    parts->options().rewrite_enabled = rewrite_on;
+    MustExec(parts.get(), std::string("SET REWRITE_ENABLED = ") +
+                              (rewrite_on ? "1" : "0"));
     double compile = 0, execute = 0;
     for (int rep = 0; rep < 3; ++rep) {
       (void)MustRows(parts.get(), nested);

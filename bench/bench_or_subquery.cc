@@ -43,7 +43,7 @@ int main() {
     if (!db.AnalyzeAll().ok()) return 1;
     // Defeat the memo for the measurement: evaluation counts come from
     // the none-cache mode, so every routed branch invocation is visible.
-    db.options().exec.cache_mode = exec::SubqueryCacheMode::kNone;
+    MustExec(&db, "SET EXEC.CACHE_MODE = NONE");
 
     // The expensive disjunct is *correlated*, so it stays a per-tuple
     // evaluate-on-demand subquery (an uncorrelated one would be lifted

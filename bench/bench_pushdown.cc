@@ -31,15 +31,15 @@ int main() {
         "SELECT g, n FROM (SELECT v g, COUNT(*) n FROM events GROUP BY v) x "
         "WHERE g < " + std::to_string(kept);
     // Push-down off: disable the predicate rules (keep the others).
-    db.options().rewrite.enabled_classes = {"merge", "subquery", "misc",
-                                            "projection"};
+    MustExec(&db,
+             "SET REWRITE.ENABLED_CLASSES = 'merge,subquery,misc,projection'");
     uint64_t rows_off = 0;
     double t_off = MedianUs([&] {
       (void)MustRows(&db, sql);
       rows_off = db.last_metrics().exec_stats.rows_emitted;
     });
     // Push-down on: all rule classes.
-    db.options().rewrite.enabled_classes.clear();
+    MustExec(&db, "SET REWRITE.ENABLED_CLASSES = DEFAULT");
     uint64_t rows_on = 0;
     double t_on = MedianUs([&] {
       (void)MustRows(&db, sql);

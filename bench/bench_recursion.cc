@@ -79,7 +79,7 @@ int main() {
     LoadEdges(&db, w.edges);
     size_t reached = 0;
 
-    db.options().exec.semi_naive_recursion = true;
+    MustExec(&db, "SET EXEC.SEMI_NAIVE_RECURSION = 1");
     uint64_t semi_iters = 0;
     double semi_us = MedianUs([&] {
       Result<std::vector<Row>> rows = db.Query(kReachability);
@@ -88,7 +88,7 @@ int main() {
       semi_iters = db.last_metrics().exec_stats.recursion_iterations;
     });
 
-    db.options().exec.semi_naive_recursion = false;
+    MustExec(&db, "SET EXEC.SEMI_NAIVE_RECURSION = 0");
     uint64_t naive_iters = 0;
     size_t reached_naive = 0;
     double naive_us = MedianUs([&] {
@@ -122,16 +122,16 @@ int main() {
     Database db;
     LoadEdges(&db, Chain(n));
     // Off: run every rule class except the recursion rules.
-    db.options().rewrite.enabled_classes = {"merge", "subquery",
-                                            "predicate_migration",
-                                            "projection", "misc"};
+    MustExec(&db,
+             "SET REWRITE.ENABLED_CLASSES = "
+             "'merge,subquery,predicate_migration,projection,misc'");
     size_t tuples_off = 0;
     double off_us = MedianUs([&] {
       Result<std::vector<Row>> rows = db.Query(kFiltered);
       if (!rows.ok()) std::exit(1);
       tuples_off = static_cast<size_t>((*rows)[0][0].int_value());
     });
-    db.options().rewrite.enabled_classes.clear();
+    MustExec(&db, "SET REWRITE.ENABLED_CLASSES = DEFAULT");
     size_t tuples_on = 0;
     double on_us = MedianUs([&] {
       Result<std::vector<Row>> rows = db.Query(kFiltered);

@@ -25,12 +25,12 @@ int main() {
   for (int scale : {2, 5, 10, 20, 50}) {
     auto db = MakePartsDb(scale);
     // Bypassed: correlated evaluate-on-demand subquery per outer row.
-    db->options().rewrite_enabled = false;
+    MustExec(db.get(), "SET REWRITE_ENABLED = 0");
     size_t rows_off = 0;
     double exec_off = MedianUs([&] { rows_off = MustRows(db.get(), sql); });
     double cost_off = db->last_metrics().plan_cost;
 
-    db->options().rewrite_enabled = true;
+    MustExec(db.get(), "SET REWRITE_ENABLED = 1");
     size_t rows_on = 0;
     double exec_on = MedianUs([&] { rows_on = MustRows(db.get(), sql); });
     double cost_on = db->last_metrics().plan_cost;

@@ -50,16 +50,14 @@ int main() {
         "FROM outer_t o";
 
     struct ModeRow {
-      exec::SubqueryCacheMode mode;
+      const char* mode;  // SET EXEC.CACHE_MODE value
       uint64_t evals = 0;
       uint64_t hits = 0;
       double us = 0;
-    } modes[3] = {{exec::SubqueryCacheMode::kNone},
-                  {exec::SubqueryCacheMode::kLastValue},
-                  {exec::SubqueryCacheMode::kMemo}};
+    } modes[3] = {{"NONE"}, {"LAST_VALUE"}, {"MEMO"}};
     size_t rows = 0;
     for (ModeRow& m : modes) {
-      db.options().exec.cache_mode = m.mode;
+      MustExec(&db, std::string("SET EXEC.CACHE_MODE = ") + m.mode);
       m.us = MedianUs([&] {
         rows = MustRows(&db, query);
         m.evals = db.last_metrics().exec_stats.subquery_evaluations;

@@ -66,17 +66,17 @@ int main(int argc, char** argv) {
   RunMix(&db, queries, 1);
 
   db.tracer().set_enabled(false);
-  db.options().collect_op_stats = false;
+  MustExec(&db, "SET COLLECT_OP_STATS = 0");
   double off_us = RunMix(&db, queries, reps);
 
   db.tracer().set_enabled(true);
   double trace_us = RunMix(&db, queries, reps);
 
-  db.options().collect_op_stats = true;
+  MustExec(&db, "SET COLLECT_OP_STATS = 1");
   double both_us = RunMix(&db, queries, reps);
 
   db.tracer().set_enabled(false);
-  db.options().collect_op_stats = false;
+  MustExec(&db, "SET COLLECT_OP_STATS = 0");
   double off2_us = RunMix(&db, queries, reps);
 
   // Baseline = the better of the two disabled runs, which absorbs

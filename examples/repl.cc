@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -102,7 +103,8 @@ bool RunMetaCommand(const std::string& cmd, Database* db, bool* timing,
     *timing = !*timing;
     // Per-operator stats power the top-operators report; collect them
     // only while timing is on.
-    db->options().collect_op_stats = *timing;
+    (void)db->Execute(*timing ? "SET COLLECT_OP_STATS = 1"
+                              : "SET COLLECT_OP_STATS = 0");
     std::printf("timing %s\n", *timing ? "on" : "off");
     return true;
   }
@@ -229,11 +231,18 @@ int main() {
       "sys.metrics),\n"
       "      \\querylog shows recent statements (also: sys.query_log), \\q "
       "quits\n"
-      "SET PLAN_CACHE_SIZE = <n> bounds the plan cache (0 disables)\n"
-      "SET STATEMENT_TIMEOUT_MS / ADMISSION_MEMORY / ADMISSION_WAIT_MS "
-      "govern statements;\n"
-      "      KILL <id> cancels a live statement (ids: SELECT * FROM "
-      "sys.statements)\n");
+      "KILL <id> cancels a live statement (ids: SELECT * FROM "
+      "sys.statements)\n"
+      "SET <name> = <value> | DEFAULT (values: SELECT * FROM sys.settings):\n");
+  std::string names;
+  for (const starburst::Setting& s : starburst::SettingsTable()) {
+    if (names.size() + std::strlen(s.name) > 72) {
+      std::printf("     %s\n", names.c_str());
+      names.clear();
+    }
+    names += std::string(" ") + s.name;
+  }
+  std::printf("     %s\n", names.c_str());
 
   std::string buffer;
   std::string line;

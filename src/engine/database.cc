@@ -39,6 +39,14 @@ struct ValueTotalLess {
   }
 };
 
+/// Ends a statement's exclusive use of a compiled tree.
+struct CheckoutGuard {
+  PreparedStatement* ps = nullptr;
+  ~CheckoutGuard() {
+    if (ps != nullptr) ps->Release();
+  }
+};
+
 }  // namespace
 
 Database::Database(size_t buffer_pool_pages)
@@ -53,10 +61,13 @@ Database::Database(size_t buffer_pool_pages)
   static std::once_flag malloc_tuned;
   std::call_once(malloc_tuned, [] { mallopt(M_TRIM_THRESHOLD, 64 << 20); });
 #endif
+  auto settings = std::make_shared<Settings>();
 #ifdef STARBURST_PARANOID_QGM
   // Sanitizer builds re-validate the whole QGM after every rule firing.
-  options_.rewrite.paranoid_validation = true;
+  settings->rewrite.paranoid_validation = true;
 #endif
+  settings->plan_fingerprint = PlanFingerprint(*settings);
+  settings_ = std::move(settings);
   // Resolve every engine metric once; statement-end bookkeeping then
   // touches only the returned atomics.
   obs::MetricsRegistry& r = metrics_registry_;
@@ -156,16 +167,15 @@ Database::StatementState& Database::stmt_state() {
 
 void Database::BeginStatement(const std::string& sql) {
   StatementState& s = stmt_state();
+  s.settings = settings();
   s.metrics = QueryMetrics{};
   s.cancel.Reset();
-  if (statement_timeout_ms_ > 0) s.cancel.SetTimeoutMs(statement_timeout_ms_);
+  s.cancel.SetTimeoutMs(s.settings->statement_timeout_ms);
   s.id = static_cast<int64_t>(++statement_seq_);
   s.start_ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::system_clock::now().time_since_epoch())
                       .count();
-  s.parallelism = options_.exec.parallelism == 0
-                      ? 1
-                      : static_cast<int>(options_.exec.parallelism);
+  s.parallelism = static_cast<int>(s.settings->exec.parallelism);
   s.admission_rejected = false;
   statements_.Register(s.id, NormalizeSql(sql), s.start_ts_us, &s.cancel);
 }
@@ -183,13 +193,16 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
   obs::Span statement_span(&tracer_, "statement", "query");
   statement_span.AddArg("sql",
                         sql.size() > 120 ? sql.substr(0, 117) + "..." : sql);
-  // Plan-cache fast path: a fresh entry under (normalized SQL, session
-  // knobs) re-executes the compiled operator tree without touching the
-  // parser — the whole compile half of Figure 1 is skipped.
+  // Plan-cache fast path: a fresh entry under (normalized SQL, plan
+  // fingerprint) re-executes the compiled operator tree without touching
+  // the parser — the whole compile half of Figure 1 is skipped.
   std::string cache_key;
   if (plan_cache_.capacity() > 0) {
     cache_key = PlanCacheKey(sql);
-    if (PreparedStatementPtr hit = plan_cache_.Lookup(cache_key, catalog_)) {
+    bool busy = false;
+    if (PreparedStatementPtr hit =
+            plan_cache_.Lookup(cache_key, catalog_, &busy)) {
+      CheckoutGuard checkout{hit.get()};
       if (hit->num_params > 0) {
         return Status::InvalidArgument(
             "statement contains ? parameters; supply values through "
@@ -201,6 +214,9 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
       SnapshotPlanCacheMetrics();
       return ResultSet(std::move(out.column_names), std::move(out.rows));
     }
+    // Another statement is running the cached tree: compile a private
+    // copy and leave the entry to it.
+    if (busy) cache_key.clear();
   }
   obs::Span parse_span(&tracer_, "parse", "phase");
   Timer parse_timer;
@@ -208,7 +224,7 @@ Result<ResultSet> Database::ExecuteInternal(const std::string& sql) {
   STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
   stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
   parse_span.End();
-  return ExecuteStatement(*stmt, cache_key);
+  return ExecuteStatement(*stmt, cache_key, sql);
 }
 
 Result<ResultSet> Database::ExecuteScript(const std::string& sql) {
@@ -238,6 +254,7 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   // Prepare is not a registered statement (there is nothing to KILL):
   // reset the thread's statement state without admitting it.
   StatementState& s = stmt_state();
+  s.settings = settings();
   s.metrics = QueryMetrics{};
   s.cancel.Reset();
   s.id = 0;
@@ -255,26 +272,17 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   std::string cache_key;
   if (plan_cache_.capacity() > 0) {
     cache_key = PlanCacheKey(sql);
-    if (PreparedStatementPtr hit = plan_cache_.Lookup(cache_key, catalog_)) {
+    bool busy = false;
+    if (PreparedStatementPtr hit =
+            plan_cache_.Lookup(cache_key, catalog_, &busy)) {
+      hit->Release();  // the handle runs only through ExecutePrepared
       stmt_state().metrics.plan_cache_hit = true;
       SnapshotPlanCacheMetrics();
       return hit;
     }
+    if (busy) cache_key.clear();
   }
-  obs::Span parse_span(&tracer_, "parse", "phase");
-  Timer parse_timer;
-  Parser parser(sql);
-  STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
-  stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
-  parse_span.End();
-  if (stmt->kind != ast::StatementKind::kSelect) {
-    return Status::InvalidArgument("only SELECT statements can be prepared");
-  }
-  const ast::Query& query =
-      *static_cast<const ast::SelectStatement&>(*stmt).query;
-  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
-                             CompileSelect(query, nullptr));
-  ps->sql = sql;
+  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps, CompileSql(sql));
   if (!cache_key.empty()) {
     plan_cache_.CountMiss();
     plan_cache_.Insert(cache_key, ps);
@@ -282,37 +290,6 @@ Result<Database::PreparedHandle> Database::Prepare(const std::string& sql) {
   SnapshotPlanCacheMetrics();
   return ps;
 }
-
-namespace {
-
-/// Swaps in a freshly compiled artifact under an existing handle. Old
-/// execution state is torn down first, top of the reference chain first
-/// (operators → plan → optimizer → graph), so nothing dangles mid-swap.
-void ReplaceCompiled(PreparedStatement& dst, PreparedStatement&& src) {
-  dst.root.reset();
-  dst.stats_tree.reset();
-  dst.plan.reset();
-  dst.optimizer.reset();
-  dst.graph.reset();
-  dst.graph = std::move(src.graph);
-  dst.optimizer = std::move(src.optimizer);
-  dst.plan = std::move(src.plan);
-  dst.stats_tree = std::move(src.stats_tree);
-  dst.root = std::move(src.root);
-  dst.num_params = src.num_params;
-  dst.column_names = std::move(src.column_names);
-  dst.visible_columns = src.visible_columns;
-  dst.hidden_order_columns = src.hidden_order_columns;
-  dst.batch_size = src.batch_size;
-  dst.reserve_hint = src.reserve_hint;
-  dst.parallelism = src.parallelism;
-  dst.plan_cost = src.plan_cost;
-  dst.plan_cardinality = src.plan_cardinality;
-  dst.catalog_version = src.catalog_version;
-  dst.dependencies = std::move(src.dependencies);
-}
-
-}  // namespace
 
 Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
                                             const std::vector<Value>& params) {
@@ -323,31 +300,31 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedHandle& handle,
   Timer total_timer;
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
   obs::Span statement_span(&tracer_, "statement", "query");
-  PreparedStatement& ps = *handle;
-  if (!ps.FreshAgainst(catalog_)) {
-    // A referenced object changed (DDL or ANALYZE): transparently
-    // recompile in place, so this handle — and any plan-cache entry
-    // sharing it — serves the fresh plan from now on.
-    plan_cache_.CountInvalidation();
-    obs::Span parse_span(&tracer_, "parse", "phase");
-    Timer parse_timer;
-    Parser parser(ps.sql);
-    STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
-    stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
-    parse_span.End();
-    if (stmt->kind != ast::StatementKind::kSelect) {
-      return Status::Internal("prepared statement is not a SELECT");
-    }
-    const ast::Query& query =
-        *static_cast<const ast::SelectStatement&>(*stmt).query;
-    STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
-                               CompileSelect(query, nullptr));
-    ReplaceCompiled(ps, std::move(*fresh));
+  PreparedStatementPtr ps = handle;
+  CheckoutGuard checkout;
+  if (!handle->TryCheckout()) {
+    // Another statement is running this handle's tree: run a private copy.
+    plan_cache_.CountMiss();
+    STARBURST_ASSIGN_OR_RETURN(ps, CompileSql(handle->sql));
   } else {
-    stmt_state().metrics.plan_cache_hit = true;
-    plan_cache_.CountHit();
+    checkout.ps = handle.get();
+    if (!handle->FreshAgainst(catalog_)) {
+      // A referenced object changed (DDL or ANALYZE): transparently
+      // recompile in place, so this handle — and any plan-cache entry
+      // sharing it — serves the fresh plan from now on. `fresh` leaves
+      // with the old plan and destroys it member by member, operators
+      // before the plan and graph they point into.
+      plan_cache_.CountInvalidation();
+      STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
+                                 CompileSql(handle->sql));
+      std::swap(static_cast<CompiledSelect&>(*handle),
+                static_cast<CompiledSelect&>(*fresh));
+    } else {
+      stmt_state().metrics.plan_cache_hit = true;
+      plan_cache_.CountHit();
+    }
   }
-  STARBURST_ASSIGN_OR_RETURN(QueryOutput out, ExecuteCompiled(ps, &params));
+  STARBURST_ASSIGN_OR_RETURN(QueryOutput out, ExecuteCompiled(*ps, &params));
   SnapshotPlanCacheMetrics();
   return ResultSet(std::move(out.column_names), std::move(out.rows));
   }();
@@ -361,53 +338,18 @@ void Database::SnapshotPlanCacheMetrics() {
   stmt_state().metrics.plan_cache_entries = plan_cache_.size();
 }
 
-std::string Database::KnobFingerprint() const {
-  const SessionOptions& o = options_;
-  std::string fp;
-  auto add = [&fp](const std::string& v) {
-    fp += v;
-    fp += ',';
-  };
-  add(std::to_string(o.rewrite_enabled));
-  add(std::to_string(static_cast<int>(o.rewrite.control)));
-  add(std::to_string(static_cast<int>(o.rewrite.search)));
-  add(std::to_string(o.rewrite.budget));
-  add(std::to_string(o.rewrite.seed));
-  add(std::to_string(o.rewrite.paranoid_validation));
-  for (const std::string& c : o.rewrite.enabled_classes) add(c);
-  add(std::to_string(o.optimizer.materialize_shared));
-  add(std::to_string(static_cast<int>(o.exec.cache_mode)));
-  add(std::to_string(o.exec.ship_delay_us));
-  add(std::to_string(o.exec.semi_naive_recursion));
-  add(std::to_string(o.exec.parallelism));
-  add(std::to_string(o.exec.parallel_min_rows));
-  add(std::to_string(o.exec.batch_size));
-  add(std::to_string(o.exec.vectorize));
-  add(std::to_string(o.exec.sort_memory_bytes));
-  add(std::to_string(o.exec.agg_memory_bytes));
-  add(std::to_string(o.exec.query_memory_bytes));
-  // Stats-collecting sessions refine stats-instrumented trees; lean
-  // sessions must not inherit (or shed) that instrumentation via cache.
-  add(std::to_string(o.collect_op_stats));
-  // Workload classification is stamped into the compiled plan, so the
-  // priority override and the fast/slow thresholds key the cache too.
-  add(std::to_string(statement_priority_));
-  add(std::to_string(slow_plan_cost_));
-  add(std::to_string(slow_plan_rows_));
-  return fp;
-}
-
 Result<std::vector<Row>> Database::Query(const std::string& sql) {
   STARBURST_ASSIGN_OR_RETURN(ResultSet rs, Execute(sql));
   return std::move(rs.mutable_rows());
 }
 
 Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
-                                             const std::string& cache_key) {
+                                             const std::string& cache_key,
+                                             const std::string& sql) {
   switch (stmt.kind) {
     case ast::StatementKind::kSelect:
       return RunSelect(*static_cast<const ast::SelectStatement&>(stmt).query,
-                       cache_key);
+                       cache_key, sql);
     case ast::StatementKind::kExplain:
       return RunExplain(static_cast<const ast::ExplainStatement&>(stmt));
     case ast::StatementKind::kCreateTable:
@@ -429,7 +371,7 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
     case ast::StatementKind::kUpdate:
       return RunUpdate(static_cast<const ast::UpdateStatement&>(stmt));
     case ast::StatementKind::kSet:
-      return RunSet(static_cast<const ast::SetStatement&>(stmt));
+      return ChangeSetting(static_cast<const ast::SetStatement&>(stmt));
     case ast::StatementKind::kKill:
       return RunKill(static_cast<const ast::KillStatement&>(stmt));
     case ast::StatementKind::kAnalyze: {
@@ -445,202 +387,14 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
   return Status::Internal("unknown statement kind");
 }
 
-Result<ResultSet> Database::RunSet(const ast::SetStatement& stmt) {
-  if (stmt.name == "STATEMENT_PRIORITY") {
-    // Scheduling-class override for subsequent SELECTs. DEFAULT derives
-    // the class from the plan's fast/slow classification. Participates
-    // in KnobFingerprint(): the priority is stamped into compiled plans.
-    if (stmt.is_default) {
-      statement_priority_ = -1;
-      return ResultSet::Message("SET STATEMENT_PRIORITY = DEFAULT");
-    }
-    if (stmt.ident_value == "HIGH") {
-      statement_priority_ = static_cast<int>(StatementPriority::kHigh);
-    } else if (stmt.ident_value == "NORMAL") {
-      statement_priority_ = static_cast<int>(StatementPriority::kNormal);
-    } else if (stmt.ident_value == "LOW") {
-      statement_priority_ = static_cast<int>(StatementPriority::kLow);
-    } else {
-      return Status::SemanticError(
-          "STATEMENT_PRIORITY must be HIGH, NORMAL, LOW, or DEFAULT");
-    }
-    return ResultSet::Message("SET STATEMENT_PRIORITY = " + stmt.ident_value);
-  }
-  if (!stmt.ident_value.empty()) {
-    // Every other option takes a number (or DEFAULT); catching a stray
-    // word here keeps e.g. `SET BATCH_SIZE = HIGH` from silently
-    // assigning zero.
-    return Status::SemanticError("option '" + stmt.name +
-                                 "' takes a numeric value, not '" +
-                                 stmt.ident_value + "'");
-  }
-  if (stmt.name == "PARALLELISM") {
-    // 0 and DEFAULT both restore the hardware default.
-    if (stmt.value < 0) {
-      return Status::SemanticError("PARALLELISM must be >= 0");
-    }
-    size_t n = stmt.is_default || stmt.value == 0
-                   ? exec::Executor::Options::DefaultParallelism()
-                   : static_cast<size_t>(stmt.value);
-    options_.exec.parallelism = n;
-    return ResultSet::Message("SET PARALLELISM = " + std::to_string(n));
-  }
-  if (stmt.name == "PARALLEL_MIN_ROWS") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("PARALLEL_MIN_ROWS must be >= 0");
-    }
-    double rows = stmt.is_default ? exec::Executor::Options{}.parallel_min_rows
-                                  : static_cast<double>(stmt.value);
-    options_.exec.parallel_min_rows = rows;
-    return ResultSet::Message("SET PARALLEL_MIN_ROWS = " +
-                              std::to_string(static_cast<int64_t>(rows)));
-  }
-  if (stmt.name == "BATCH_SIZE") {
-    // 1 pins exact row-at-a-time execution (differential testing);
-    // DEFAULT restores the vectorized default (1024).
-    if (!stmt.is_default && stmt.value < 1) {
-      return Status::SemanticError("BATCH_SIZE must be >= 1");
-    }
-    size_t n = stmt.is_default ? RowBatch::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    options_.exec.batch_size = n;
-    return ResultSet::Message("SET BATCH_SIZE = " + std::to_string(n));
-  }
-  if (stmt.name == "VECTORIZE") {
-    // 0 pins every expression site to the row-at-a-time interpreter (the
-    // differential-testing reference); DEFAULT restores kernel compilation.
-    if (!stmt.is_default && stmt.value != 0 && stmt.value != 1) {
-      return Status::SemanticError("VECTORIZE must be 0 or 1");
-    }
-    bool on = stmt.is_default || stmt.value == 1;
-    options_.exec.vectorize = on;
-    return ResultSet::Message("SET VECTORIZE = " + std::to_string(on ? 1 : 0));
-  }
-  // Memory-governance knobs (bytes; parser accepts KB/MB/GB suffixes).
-  // 0 and DEFAULT both mean unlimited.
-  auto memory_knob = [&](const char* name,
-                         uint64_t* slot) -> Result<ResultSet> {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError(std::string(name) + " must be >= 0");
-    }
-    uint64_t bytes =
-        stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    *slot = bytes;
-    return ResultSet::Message("SET " + std::string(name) + " = " +
-                              std::to_string(bytes));
-  };
-  if (stmt.name == "SORT_MEMORY") {
-    return memory_knob("SORT_MEMORY", &options_.exec.sort_memory_bytes);
-  }
-  if (stmt.name == "AGG_MEMORY") {
-    return memory_knob("AGG_MEMORY", &options_.exec.agg_memory_bytes);
-  }
-  if (stmt.name == "QUERY_MEMORY") {
-    return memory_knob("QUERY_MEMORY", &options_.exec.query_memory_bytes);
-  }
-  if (stmt.name == "PLAN_CACHE_SIZE") {
-    // 0 disables plan caching entirely (and clears resident entries);
-    // DEFAULT restores the default capacity.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("PLAN_CACHE_SIZE must be >= 0");
-    }
-    size_t n = stmt.is_default ? PlanCache::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    plan_cache_.set_capacity(n);
-    return ResultSet::Message("SET PLAN_CACHE_SIZE = " + std::to_string(n));
-  }
-  // Observability knobs. Neither affects what compilation produces, so
-  // neither participates in KnobFingerprint().
-  if (stmt.name == "SLOW_QUERY_US") {
-    // Statements at or above the threshold are flagged in sys.query_log
-    // and emit a trace instant. 0 and DEFAULT both disable flagging.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_QUERY_US must be >= 0");
-    }
-    uint64_t us = stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    slow_query_us_ = us;
-    return ResultSet::Message("SET SLOW_QUERY_US = " + std::to_string(us));
-  }
-  if (stmt.name == "TRACE_BUFFER") {
-    // Capacity of the tracer's event ring; DEFAULT restores 8192.
-    // Shrinking discards the oldest events (they count as dropped).
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("TRACE_BUFFER must be >= 0");
-    }
-    size_t n = stmt.is_default ? obs::Tracer::kDefaultCapacity
-                               : static_cast<size_t>(stmt.value);
-    tracer_.set_capacity(n);
-    return ResultSet::Message("SET TRACE_BUFFER = " + std::to_string(n));
-  }
-  // Governance knobs. None affects what compilation produces, so none
-  // participates in KnobFingerprint().
-  if (stmt.name == "STATEMENT_TIMEOUT_MS") {
-    // Deadline armed for every subsequent statement; 0 and DEFAULT both
-    // disable it.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("STATEMENT_TIMEOUT_MS must be >= 0");
-    }
-    statement_timeout_ms_ = stmt.is_default ? 0 : stmt.value;
-    return ResultSet::Message("SET STATEMENT_TIMEOUT_MS = " +
-                              std::to_string(statement_timeout_ms_));
-  }
-  if (stmt.name == "ADMISSION_MEMORY") {
-    // Global admission budget (bytes; KB/MB/GB suffixes accepted). 0 and
-    // DEFAULT both turn admission off.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_MEMORY must be >= 0");
-    }
-    uint64_t bytes = stmt.is_default ? 0 : static_cast<uint64_t>(stmt.value);
-    admission_.SetBudget(bytes);
-    return ResultSet::Message("SET ADMISSION_MEMORY = " +
-                              std::to_string(bytes));
-  }
-  if (stmt.name == "ADMISSION_WAIT_MS") {
-    // How long a statement may queue for admission; 0 and DEFAULT both
-    // mean fail fast. Already-queued waiters re-read this on wake.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_WAIT_MS must be >= 0");
-    }
-    int64_t ms = stmt.is_default ? 0 : stmt.value;
-    admission_.SetMaxWaitMs(ms);
-    return ResultSet::Message("SET ADMISSION_WAIT_MS = " +
-                              std::to_string(ms));
-  }
-  if (stmt.name == "ADMISSION_AGING_MS") {
-    // Anti-starvation: queued time per class promotion. 0 disables
-    // aging; DEFAULT restores one promotion per second.
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("ADMISSION_AGING_MS must be >= 0");
-    }
-    int64_t ms =
-        stmt.is_default ? AdmissionController::kDefaultAgingMs : stmt.value;
-    admission_.SetAgingMs(ms);
-    return ResultSet::Message("SET ADMISSION_AGING_MS = " +
-                              std::to_string(ms));
-  }
-  // Classification thresholds; both participate in KnobFingerprint()
-  // (the fast/slow class is stamped into compiled plans).
-  if (stmt.name == "SLOW_PLAN_COST") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_PLAN_COST must be >= 0");
-    }
-    slow_plan_cost_ = stmt.is_default ? kDefaultSlowPlanCost
-                                      : static_cast<double>(stmt.value);
-    return ResultSet::Message(
-        "SET SLOW_PLAN_COST = " +
-        std::to_string(static_cast<int64_t>(slow_plan_cost_)));
-  }
-  if (stmt.name == "SLOW_PLAN_ROWS") {
-    if (!stmt.is_default && stmt.value < 0) {
-      return Status::SemanticError("SLOW_PLAN_ROWS must be >= 0");
-    }
-    slow_plan_rows_ = stmt.is_default ? kDefaultSlowPlanRows
-                                      : static_cast<double>(stmt.value);
-    return ResultSet::Message(
-        "SET SLOW_PLAN_ROWS = " +
-        std::to_string(static_cast<int64_t>(slow_plan_rows_)));
-  }
-  return Status::SemanticError("unknown session option '" + stmt.name + "'");
+Result<ResultSet> Database::ChangeSetting(const ast::SetStatement& stmt) {
+  std::lock_guard<std::mutex> lock(settings_mu_);
+  auto next = std::make_shared<Settings>(*settings_);
+  SettingsTarget target{next.get(), &plan_cache_, &tracer_, &admission_};
+  STARBURST_ASSIGN_OR_RETURN(std::string message, ApplySet(stmt, target));
+  next->plan_fingerprint = PlanFingerprint(*next);
+  settings_ = std::move(next);
+  return ResultSet::Message(std::move(message));
 }
 
 Result<ResultSet> Database::RunKill(const ast::KillStatement& stmt) {
@@ -663,6 +417,7 @@ Result<Database::QueryOutput> Database::RunQueryPipeline(
 
 Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
                                                      PipelineCapture* capture) {
+  const Settings& o = *stmt_state().settings;
   auto ps = std::make_shared<PreparedStatement>();
   statements_.SetPhase(stmt_state().id, "compile");
 
@@ -682,12 +437,11 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   qgm::Graph* graph = ps->graph.get();
   ps->num_params = graph->num_params;
 
-  if (options_.rewrite_enabled) {
+  if (o.rewrite_enabled) {
     obs::Span rewrite_span(&tracer_, "rewrite", "phase");
     Timer rewrite_timer;
-    STARBURST_ASSIGN_OR_RETURN(
-        stmt_state().metrics.rewrite_stats,
-        rule_engine_.Run(graph, &catalog_, options_.rewrite));
+    STARBURST_ASSIGN_OR_RETURN(stmt_state().metrics.rewrite_stats,
+                               rule_engine_.Run(graph, &catalog_, o.rewrite));
     stmt_state().metrics.rewrite_us = rewrite_timer.ElapsedUs();
     rewrite_span.End();
     // Replay the rule firings into the trace: one provenance log, two
@@ -710,7 +464,7 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   obs::Span optimize_span(&tracer_, "optimize", "phase");
   Timer optimize_timer;
   ps->optimizer =
-      std::make_unique<optimizer::Optimizer>(&catalog_, options_.optimizer);
+      std::make_unique<optimizer::Optimizer>(&catalog_, o.optimizer);
   optimizer::Optimizer& opt = *ps->optimizer;
   for (const optimizer::Star& star : extra_stars_) {
     STARBURST_RETURN_IF_ERROR(opt.stars().Add(star));
@@ -727,11 +481,11 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   // above either threshold is expected to run long. Under
   // STATEMENT_PRIORITY = DEFAULT that demotes it to low priority, so
   // interactive statements are admitted and scheduled ahead of it.
-  ps->slow_class = plan->props.cost >= slow_plan_cost_ ||
-                   plan->props.cardinality >= slow_plan_rows_;
+  ps->slow_class = plan->props.cost >= o.slow_plan_cost ||
+                   plan->props.cardinality >= o.slow_plan_rows;
   ps->priority =
-      statement_priority_ >= 0
-          ? statement_priority_
+      o.statement_priority > 0
+          ? o.statement_priority - 1
           : static_cast<int>(ps->slow_class ? StatementPriority::kLow
                                             : StatementPriority::kNormal);
   optimize_span.End();
@@ -739,25 +493,14 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
     capture->plan_text = plan->ToString();
   }
 
-  bool collect_stats = options_.collect_op_stats ||
+  bool collect_stats = o.collect_op_stats ||
                        (capture != nullptr && capture->collect_stats);
   if (collect_stats) ps->stats_tree = std::make_shared<obs::PlanStatsTree>();
 
   obs::Span refine_span(&tracer_, "refine", "phase");
   Timer refine_timer;
-  exec::PlanRefiner::Options refine_options;
-  refine_options.cache_mode = options_.exec.cache_mode;
-  refine_options.ship_delay_us = options_.exec.ship_delay_us;
-  refine_options.semi_naive_recursion = options_.exec.semi_naive_recursion;
+  exec::PlanRefiner::Options refine_options = o.exec;
   refine_options.stats = ps->stats_tree.get();
-  refine_options.parallelism =
-      options_.exec.parallelism == 0 ? 1 : options_.exec.parallelism;
-  refine_options.parallel_min_rows = options_.exec.parallel_min_rows;
-  refine_options.batch_size =
-      options_.exec.batch_size == 0 ? 1 : options_.exec.batch_size;
-  refine_options.sort_memory_bytes = options_.exec.sort_memory_bytes;
-  refine_options.agg_memory_bytes = options_.exec.agg_memory_bytes;
-  refine_options.vectorize = options_.exec.vectorize;
   refine_options.shared_scheduler = &scheduler_;
   exec::PlanRefiner refiner(&catalog_, &opt.box_plans(), refine_options);
   STARBURST_ASSIGN_OR_RETURN(ps->root, refiner.Refine(plan));
@@ -792,6 +535,24 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   return ps;
 }
 
+Result<PreparedStatementPtr> Database::CompileSql(const std::string& sql) {
+  obs::Span parse_span(&tracer_, "parse", "phase");
+  Timer parse_timer;
+  Parser parser(sql);
+  STARBURST_ASSIGN_OR_RETURN(ast::StatementPtr stmt, parser.ParseStatement());
+  stmt_state().metrics.parse_us = parse_timer.ElapsedUs();
+  parse_span.End();
+  if (stmt->kind != ast::StatementKind::kSelect) {
+    return Status::InvalidArgument("only SELECT statements can be prepared");
+  }
+  STARBURST_ASSIGN_OR_RETURN(
+      PreparedStatementPtr ps,
+      CompileSelect(*static_cast<const ast::SelectStatement&>(*stmt).query,
+                    nullptr));
+  ps->sql = sql;
+  return ps;
+}
+
 Result<Database::QueryOutput> Database::ExecuteCompiled(
     PreparedStatement& ps, const std::vector<Value>* params) {
   size_t given = params == nullptr ? 0 : params->size();
@@ -807,15 +568,16 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
   uint64_t spill_before = SpillFile::total_bytes();
   // A cached stats tree still carries the previous run's actuals.
   if (ps.stats_tree != nullptr) ps.stats_tree->ResetActuals();
+  StatementState& s = stmt_state();
   exec::ExecContext ctx(&storage_, &catalog_);
   ctx.set_batch_size(ps.batch_size);
-  ctx.set_query_memory_budget(options_.exec.query_memory_bytes);
+  const uint64_t query_memory = s.settings->exec.query_memory_bytes;
+  ctx.set_query_memory_budget(query_memory);
 
   // Governance: wire the statement's cancel token into the execution
   // context (operators poll it at batch boundaries), reserve the query's
   // memory from the global admission ledger, and expose the live tracker
   // through the statement registry.
-  StatementState& s = stmt_state();
   s.parallelism = ps.parallelism;
   ctx.set_cancel_token(&s.cancel);
   // Workload class: stamped at compile time, surfaced while live so
@@ -828,7 +590,7 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
   statements_.SetPhase(s.id, "queued");
   Timer queue_timer;
   Result<AdmissionGrant> admitted =
-      admission_.Admit(options_.exec.query_memory_bytes, priority, &s.cancel);
+      admission_.Admit(query_memory, priority, &s.cancel);
   s.metrics.queue_us = queue_timer.ElapsedUs();
   statements_.SetWorkload(s.id, nullptr, nullptr,
                           static_cast<int64_t>(s.metrics.queue_us));
@@ -878,20 +640,20 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
       exec::DrainOperator(ps.root.get(), ctx.batch_size(), ps.reserve_hint,
                           &ctx);
   ps.root->Close();
-  stmt_state().metrics.execute_us = exec_timer.ElapsedUs();
-  stmt_state().metrics.exec_stats = ctx.stats();
+  QueryMetrics& m = s.metrics;
+  m.execute_us = exec_timer.ElapsedUs();
+  m.exec_stats = ctx.stats();
   StorageEngine::Stats storage_after = storage_.GatherStats();
-  stmt_state().metrics.buffer_pool =
-      storage_after.buffer_pool.Since(storage_before.buffer_pool);
-  stmt_state().metrics.index_node_visits =
+  m.buffer_pool = storage_after.buffer_pool.Since(storage_before.buffer_pool);
+  m.index_node_visits =
       storage_after.index_node_visits - storage_before.index_node_visits;
-  stmt_state().metrics.spill_bytes = SpillFile::total_bytes() - spill_before;
-  stmt_state().metrics.peak_memory_bytes = ctx.query_memory()->peak();
-  stmt_state().metrics.op_stats = ps.stats_tree;
-  stmt_state().metrics.plan_cost = ps.plan_cost;
-  stmt_state().metrics.plan_cardinality = ps.plan_cardinality;
-  stmt_state().metrics.kernel_programs = ps.kernel_programs;
-  stmt_state().metrics.kernel_programs_full = ps.kernel_programs_full;
+  m.spill_bytes = SpillFile::total_bytes() - spill_before;
+  m.peak_memory_bytes = ctx.query_memory()->peak();
+  m.op_stats = ps.stats_tree;
+  m.plan_cost = ps.plan_cost;
+  m.plan_cardinality = ps.plan_cardinality;
+  m.kernel_programs = ps.kernel_programs;
+  m.kernel_programs_full = ps.kernel_programs_full;
   exec_span.End();
   if (!rows.ok()) return rows.status();
 
@@ -907,7 +669,8 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
 }
 
 Result<ResultSet> Database::RunSelect(const ast::Query& query,
-                                      const std::string& cache_key) {
+                                      const std::string& cache_key,
+                                      const std::string& sql) {
   STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
                              CompileSelect(query, nullptr));
   if (ps->num_params > 0) {
@@ -915,7 +678,13 @@ Result<ResultSet> Database::RunSelect(const ast::Query& query,
         "statement contains ? parameters; prepare it and supply values "
         "through ExecutePrepared");
   }
+  CheckoutGuard checkout;
   if (!cache_key.empty() && plan_cache_.capacity() > 0) {
+    // Checked out before it is published, so no other statement runs the
+    // tree until this one is done with it.
+    ps->TryCheckout();
+    checkout.ps = ps.get();
+    ps->sql = sql;
     plan_cache_.CountMiss();
     plan_cache_.Insert(cache_key, ps);
   }
@@ -946,22 +715,23 @@ void AppendLines(const std::string& text, std::vector<Row>* out) {
 
 Result<ResultSet> Database::RunExplain(const ast::ExplainStatement& stmt) {
   if (stmt.analyze || stmt.verbose) return RunExplainReport(stmt);
+  const Settings& o = *stmt_state().settings;
   qgm::Binder binder(&catalog_);
   STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
                              binder.BindQuery(*stmt.query));
   std::string text;
   if (stmt.what == ast::ExplainStatement::What::kQgm) {
-    if (!stmt.before_rewrite && options_.rewrite_enabled) {
+    if (!stmt.before_rewrite && o.rewrite_enabled) {
       STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, options_.rewrite).status());
+          rule_engine_.Run(graph.get(), &catalog_, o.rewrite).status());
     }
     text = qgm::PrintGraph(*graph);
   } else {
-    if (options_.rewrite_enabled) {
+    if (o.rewrite_enabled) {
       STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, options_.rewrite).status());
+          rule_engine_.Run(graph.get(), &catalog_, o.rewrite).status());
     }
-    optimizer::Optimizer opt(&catalog_, options_.optimizer);
+    optimizer::Optimizer opt(&catalog_, o.optimizer);
     for (const optimizer::Star& star : extra_stars_) {
       STARBURST_RETURN_IF_ERROR(opt.stars().Add(star));
     }
@@ -985,20 +755,23 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
   auto line = [&rows](const std::string& s) {
     rows.push_back(Row({Value::String(s)}));
   };
+  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
   char buf[256];
 
-  line(options_.rewrite_enabled ? "== QGM (after rewrite) =="
-                                : "== QGM (rewrite disabled) ==");
+  const Settings& o = *stmt_state().settings;
+  const QueryMetrics& m = stmt_state().metrics;
+  line(o.rewrite_enabled ? "== QGM (after rewrite) =="
+                         : "== QGM (rewrite disabled) ==");
   AppendLines(capture.qgm_text, &rows);
 
   line("== Rewrite rule firings ==");
-  if (!options_.rewrite_enabled) {
+  if (!o.rewrite_enabled) {
     line("(rewrite disabled)");
-  } else if (stmt_state().metrics.rewrite_stats.firings.empty()) {
+  } else if (m.rewrite_stats.firings.empty()) {
     line("(no rules fired)");
   } else {
     for (const rewrite::RuleEngine::Stats::Firing& f :
-         stmt_state().metrics.rewrite_stats.firings) {
+         m.rewrite_stats.firings) {
       std::snprintf(buf, sizeof(buf), "pass %d: %s box=%s [id=%d]", f.pass,
                     f.rule.c_str(), f.box_label.c_str(), f.box_id);
       line(buf);
@@ -1007,10 +780,10 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
 
   line("== Plan ==");
   std::snprintf(buf, sizeof(buf), "estimated cost=%.6g cardinality=%.6g",
-                stmt_state().metrics.plan_cost, stmt_state().metrics.plan_cardinality);
+                m.plan_cost, m.plan_cardinality);
   line(buf);
-  if (stmt.analyze && stmt_state().metrics.op_stats != nullptr) {
-    AppendLines(stmt_state().metrics.op_stats->Render(/*with_actuals=*/true), &rows);
+  if (stmt.analyze && m.op_stats != nullptr) {
+    AppendLines(m.op_stats->Render(/*with_actuals=*/true), &rows);
   } else {
     AppendLines(capture.plan_text, &rows);
   }
@@ -1022,73 +795,54 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
     std::snprintf(buf, sizeof(buf),
                   "phases (us): parse=%.0f bind=%.0f rewrite=%.0f "
                   "optimize=%.0f refine=%.0f execute=%.0f",
-                  stmt_state().metrics.parse_us, stmt_state().metrics.bind_us, stmt_state().metrics.rewrite_us,
-                  stmt_state().metrics.optimize_us, stmt_state().metrics.refine_us,
-                  stmt_state().metrics.execute_us);
+                  m.parse_us, m.bind_us, m.rewrite_us, m.optimize_us,
+                  m.refine_us, m.execute_us);
     line(buf);
     std::snprintf(buf, sizeof(buf),
                   "kernel programs: %llu compiled, %llu fully vectorized",
-                  static_cast<unsigned long long>(
-                      stmt_state().metrics.kernel_programs),
-                  static_cast<unsigned long long>(
-                      stmt_state().metrics.kernel_programs_full));
+                  u(m.kernel_programs), u(m.kernel_programs_full));
     line(buf);
     std::snprintf(buf, sizeof(buf),
                   "subqueries: %llu evaluations, %llu cache hits",
-                  static_cast<unsigned long long>(
-                      stmt_state().metrics.exec_stats.subquery_evaluations),
-                  static_cast<unsigned long long>(
-                      stmt_state().metrics.exec_stats.subquery_cache_hits));
+                  u(m.exec_stats.subquery_evaluations),
+                  u(m.exec_stats.subquery_cache_hits));
     line(buf);
-    std::snprintf(
-        buf, sizeof(buf),
-        "buffer pool: %llu logical reads, %llu hits, %llu misses, "
-        "%llu writes (hit rate %.1f%%)",
-        static_cast<unsigned long long>(stmt_state().metrics.buffer_pool.logical_reads),
-        static_cast<unsigned long long>(stmt_state().metrics.buffer_pool.cache_hits),
-        static_cast<unsigned long long>(stmt_state().metrics.buffer_pool.disk_reads),
-        static_cast<unsigned long long>(stmt_state().metrics.buffer_pool.disk_writes),
-        stmt_state().metrics.buffer_pool.HitRate() * 100.0);
+    std::snprintf(buf, sizeof(buf),
+                  "buffer pool: %llu logical reads, %llu hits, %llu misses, "
+                  "%llu writes (hit rate %.1f%%)",
+                  u(m.buffer_pool.logical_reads), u(m.buffer_pool.cache_hits),
+                  u(m.buffer_pool.disk_reads), u(m.buffer_pool.disk_writes),
+                  m.buffer_pool.HitRate() * 100.0);
     line(buf);
     std::snprintf(buf, sizeof(buf), "index node visits: %llu",
-                  static_cast<unsigned long long>(stmt_state().metrics.index_node_visits));
+                  u(m.index_node_visits));
     line(buf);
     // EXPLAIN itself always compiles fresh; the counters are the
     // session's cumulative plan-cache activity.
     SnapshotPlanCacheMetrics();
-    std::snprintf(
-        buf, sizeof(buf),
-        "plan cache: %llu entries; session hits=%llu misses=%llu "
-        "invalidations=%llu evictions=%llu",
-        static_cast<unsigned long long>(stmt_state().metrics.plan_cache_entries),
-        static_cast<unsigned long long>(stmt_state().metrics.plan_cache.hits),
-        static_cast<unsigned long long>(stmt_state().metrics.plan_cache.misses),
-        static_cast<unsigned long long>(stmt_state().metrics.plan_cache.invalidations),
-        static_cast<unsigned long long>(stmt_state().metrics.plan_cache.evictions));
+    std::snprintf(buf, sizeof(buf),
+                  "plan cache: %llu entries; session hits=%llu misses=%llu "
+                  "invalidations=%llu evictions=%llu",
+                  u(m.plan_cache_entries), u(m.plan_cache.hits),
+                  u(m.plan_cache.misses), u(m.plan_cache.invalidations),
+                  u(m.plan_cache.evictions));
     line(buf);
     AdmissionController::Stats adm = admission_.stats();
     std::snprintf(
         buf, sizeof(buf),
         "governance: timeout_ms=%lld admission budget=%llu bytes "
         "in_use=%llu admitted=%llu queued=%llu rejected=%llu timeouts=%llu",
-        static_cast<long long>(statement_timeout_ms_),
-        static_cast<unsigned long long>(adm.budget_bytes),
-        static_cast<unsigned long long>(adm.in_use_bytes),
-        static_cast<unsigned long long>(adm.admitted_total),
-        static_cast<unsigned long long>(adm.queued_total),
-        static_cast<unsigned long long>(adm.rejected_total),
-        static_cast<unsigned long long>(adm.timeout_total));
+        static_cast<long long>(o.statement_timeout_ms), u(adm.budget_bytes),
+        u(adm.in_use_bytes), u(adm.admitted_total), u(adm.queued_total),
+        u(adm.rejected_total), u(adm.timeout_total));
     line(buf);
-    std::snprintf(
-        buf, sizeof(buf),
-        "workload: priority=%s class=%s queue_us=%lld aged=%llu "
-        "cancelled_queued=%llu preemptions=%llu",
-        stmt_state().priority_label, stmt_state().class_label,
-        static_cast<long long>(stmt_state().metrics.queue_us),
-        static_cast<unsigned long long>(adm.aged_total),
-        static_cast<unsigned long long>(adm.cancelled_while_queued_total),
-        static_cast<unsigned long long>(
-            exec::parallel::TaskScheduler::total_preemptions()));
+    std::snprintf(buf, sizeof(buf),
+                  "workload: priority=%s class=%s queue_us=%lld aged=%llu "
+                  "cancelled_queued=%llu preemptions=%llu",
+                  stmt_state().priority_label, stmt_state().class_label,
+                  static_cast<long long>(m.queue_us), u(adm.aged_total),
+                  u(adm.cancelled_while_queued_total),
+                  u(exec::parallel::TaskScheduler::total_preemptions()));
     line(buf);
   }
   return ResultSet({"EXPLAIN"}, std::move(rows));
@@ -1379,18 +1133,22 @@ void Database::RefreshRowStats(const std::string& table_name) {
   (*def)->stats.page_count = static_cast<double>((*storage)->page_count());
 }
 
+Result<const TableDef*> Database::ResolveDmlTarget(
+    const std::string& name, const char* verb,
+    std::unique_ptr<UpdatableView>* view) const {
+  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(name, verb));
+  if (!catalog_.HasView(name)) return catalog_.GetTable(name);
+  STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(name));
+  STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
+  *view = std::make_unique<UpdatableView>(std::move(uv));
+  return (*view)->table;
+}
+
 Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "insert into"));
-  const TableDef* table = nullptr;
   std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
-    STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
-  } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
-  }
+  STARBURST_ASSIGN_OR_RETURN(
+      const TableDef* table,
+      ResolveDmlTarget(stmt.table, "insert into", &view));
   const TableSchema& exposed = view ? view->pseudo.schema : table->schema;
   std::vector<size_t> targets;
   if (stmt.columns.empty()) {
@@ -1449,123 +1207,41 @@ Row ProjectViewRow(const Row& base_row, const std::vector<size_t>& map) {
   return Row(std::move(values));
 }
 
+/// Rows per block of a DELETE / UPDATE scan, and so between its checks
+/// for KILL and the statement deadline.
+constexpr size_t kDmlScanBlockRows = 256;
+
 }  // namespace
 
 Result<ResultSet> Database::RunDelete(const ast::DeleteStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "delete from"));
-  const TableDef* table = nullptr;
-  std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
-    STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
-  } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
-  }
-  const TableDef& bind_target = view ? view->pseudo : *table;
-
-  qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(
-      qgm::Binder::TableMutationBind bind,
-      binder.BindTableMutation(bind_target, stmt.where.get(), nullptr));
-
-  // Plan every box (subqueries in the WHERE clause become runtimes).
-  optimizer::Optimizer opt(&catalog_, options_.optimizer);
-  STARBURST_RETURN_IF_ERROR(opt.Optimize(*bind.graph).status());
-  exec::PlanRefiner refiner(&catalog_, &opt.box_plans(),
-                            exec::PlanRefiner::Options{});
-
-  std::vector<optimizer::ColumnBinding> layout;
-  for (size_t i = 0; i < bind_target.schema.num_columns(); ++i) {
-    layout.push_back(optimizer::ColumnBinding{bind.quantifier, nullptr, i});
-  }
-  exec::CompiledExprPtr predicate;
-  if (bind.predicate != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(predicate,
-                               refiner.Compile(*bind.predicate, layout, nullptr));
-  }
-
-  // A view target contributes its own WHERE, bound against the base table.
-  qgm::Binder view_binder(&catalog_);
-  std::unique_ptr<qgm::Binder::TableMutationBind> view_bind;
-  std::unique_ptr<optimizer::Optimizer> view_opt;
-  std::unique_ptr<exec::PlanRefiner> view_refiner;
-  exec::CompiledExprPtr view_predicate;
-  if (view != nullptr && view->where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(
-        qgm::Binder::TableMutationBind vb,
-        view_binder.BindTableMutation(*table, view->where, nullptr));
-    view_bind = std::make_unique<qgm::Binder::TableMutationBind>(std::move(vb));
-    view_opt = std::make_unique<optimizer::Optimizer>(&catalog_,
-                                                      options_.optimizer);
-    STARBURST_RETURN_IF_ERROR(view_opt->Optimize(*view_bind->graph).status());
-    view_refiner = std::make_unique<exec::PlanRefiner>(
-        &catalog_, &view_opt->box_plans(), exec::PlanRefiner::Options{});
-    std::vector<optimizer::ColumnBinding> base_layout;
-    for (size_t i = 0; i < table->schema.num_columns(); ++i) {
-      base_layout.push_back(
-          optimizer::ColumnBinding{view_bind->quantifier, nullptr, i});
-    }
-    STARBURST_ASSIGN_OR_RETURN(
-        view_predicate,
-        view_refiner->Compile(*view_bind->predicate, base_layout, nullptr));
-  }
-
-  STARBURST_ASSIGN_OR_RETURN(TableStorage * storage,
-                             storage_.GetTable(table->name));
-  exec::ExecContext ctx(&storage_, &catalog_);
-  std::vector<Rid> victims;
-  std::unique_ptr<TableScanIterator> scan = storage->NewScan();
-  Row row;
-  Rid rid;
-  while (true) {
-    STARBURST_ASSIGN_OR_RETURN(bool more, scan->Next(&row, &rid));
-    if (!more) break;
-    if (view_predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 view_predicate->EvalPredicate(row, &ctx));
-      if (!pass) continue;  // row not visible through the view
-    }
-    if (predicate != nullptr) {
-      Row visible = view ? ProjectViewRow(row, view->column_map) : row;
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 predicate->EvalPredicate(visible, &ctx));
-      if (!pass) continue;
-    }
-    victims.push_back(rid);
-  }
-  for (Rid v : victims) {
-    STARBURST_RETURN_IF_ERROR(storage_.DeleteRow(table->name, v));
-  }
-  RefreshRowStats(table->name);
-  return ResultSet::Message("DELETE", static_cast<int64_t>(victims.size()));
+  return RunMutation(stmt.table, stmt.where.get(), nullptr);
 }
 
 Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(stmt.table, "update"));
-  const TableDef* table = nullptr;
-  std::unique_ptr<UpdatableView> view;
-  if (catalog_.HasView(stmt.table)) {
-    STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(stmt.table));
-    STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-    view = std::make_unique<UpdatableView>(std::move(uv));
-    table = view->table;
-  } else {
-    STARBURST_ASSIGN_OR_RETURN(table, catalog_.GetTable(stmt.table));
-  }
-  const TableDef& bind_target = view ? view->pseudo : *table;
-
   std::vector<std::pair<std::string, const ast::Expr*>> assignments;
   for (const auto& [name, expr] : stmt.assignments) {
     assignments.emplace_back(name, expr.get());
   }
+  return RunMutation(stmt.table, stmt.where.get(), &assignments);
+}
+
+Result<ResultSet> Database::RunMutation(
+    const std::string& target, const ast::Expr* where,
+    const std::vector<std::pair<std::string, const ast::Expr*>>* assignments) {
+  const bool update = assignments != nullptr;
+  std::unique_ptr<UpdatableView> view;
+  STARBURST_ASSIGN_OR_RETURN(
+      const TableDef* table,
+      ResolveDmlTarget(target, update ? "update" : "delete from", &view));
+  const TableDef& bind_target = view ? view->pseudo : *table;
+
   qgm::Binder binder(&catalog_);
   STARBURST_ASSIGN_OR_RETURN(
       qgm::Binder::TableMutationBind bind,
-      binder.BindTableMutation(bind_target, stmt.where.get(), &assignments));
+      binder.BindTableMutation(bind_target, where, assignments));
 
-  optimizer::Optimizer opt(&catalog_, options_.optimizer);
+  // Plan every box (subqueries in the WHERE clause become runtimes).
+  optimizer::Optimizer opt(&catalog_, stmt_state().settings->optimizer);
   STARBURST_RETURN_IF_ERROR(opt.Optimize(*bind.graph).status());
   exec::PlanRefiner refiner(&catalog_, &opt.box_plans(),
                             exec::PlanRefiner::Options{});
@@ -1588,7 +1264,7 @@ Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
     compiled_assignments.emplace_back(base_col, std::move(c));
   }
 
-  // The view's own WHERE restricts which base rows are updatable.
+  // A view target contributes its own WHERE, bound against the base table.
   qgm::Binder view_binder(&catalog_);
   std::unique_ptr<qgm::Binder::TableMutationBind> view_bind;
   std::unique_ptr<optimizer::Optimizer> view_opt;
@@ -1599,8 +1275,8 @@ Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
         qgm::Binder::TableMutationBind vb,
         view_binder.BindTableMutation(*table, view->where, nullptr));
     view_bind = std::make_unique<qgm::Binder::TableMutationBind>(std::move(vb));
-    view_opt = std::make_unique<optimizer::Optimizer>(&catalog_,
-                                                      options_.optimizer);
+    view_opt = std::make_unique<optimizer::Optimizer>(
+        &catalog_, stmt_state().settings->optimizer);
     STARBURST_RETURN_IF_ERROR(view_opt->Optimize(*view_bind->graph).status());
     view_refiner = std::make_unique<exec::PlanRefiner>(
         &catalog_, &view_opt->box_plans(), exec::PlanRefiner::Options{});
@@ -1614,42 +1290,59 @@ Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
         view_refiner->Compile(*view_bind->predicate, base_layout, nullptr));
   }
 
+  // Scan phase: collect the changes a block at a time, checking for KILL
+  // and the deadline before each block. No row changes until the scan is
+  // done, so a cancelled statement leaves the table as it was.
   STARBURST_ASSIGN_OR_RETURN(TableStorage * storage,
                              storage_.GetTable(table->name));
   exec::ExecContext ctx(&storage_, &catalog_);
-  std::vector<std::pair<Rid, Row>> updates;
+  ctx.set_cancel_token(&stmt_state().cancel);
+  std::vector<std::pair<Rid, Row>> changes;  // new rows stay empty on DELETE
   std::unique_ptr<TableScanIterator> scan = storage->NewScan();
-  Row row;
-  Rid rid;
+  std::vector<Row> block(kDmlScanBlockRows);
+  std::vector<Rid> rids(kDmlScanBlockRows);
+  Row projected;
   while (true) {
-    STARBURST_ASSIGN_OR_RETURN(bool more, scan->Next(&row, &rid));
-    if (!more) break;
-    if (view_predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 view_predicate->EvalPredicate(row, &ctx));
-      if (!pass) continue;
+    STARBURST_RETURN_IF_ERROR(ctx.CheckCancel());
+    STARBURST_ASSIGN_OR_RETURN(
+        size_t n, scan->NextBlock(block.data(), rids.data(), block.size()));
+    if (n == 0) break;
+    for (size_t i = 0; i < n; ++i) {
+      const Row& row = block[i];
+      if (view_predicate != nullptr) {
+        STARBURST_ASSIGN_OR_RETURN(bool pass,
+                                   view_predicate->EvalPredicate(row, &ctx));
+        if (!pass) continue;  // row not visible through the view
+      }
+      const Row* visible = &row;
+      if (view != nullptr) {
+        projected = ProjectViewRow(row, view->column_map);
+        visible = &projected;
+      }
+      if (predicate != nullptr) {
+        STARBURST_ASSIGN_OR_RETURN(bool pass,
+                                   predicate->EvalPredicate(*visible, &ctx));
+        if (!pass) continue;
+      }
+      Row updated;
+      if (update) updated = row;
+      for (const auto& [base_col, expr] : compiled_assignments) {
+        STARBURST_ASSIGN_OR_RETURN(Value v, expr->Eval(*visible, &ctx));
+        STARBURST_ASSIGN_OR_RETURN(
+            updated[base_col],
+            CoerceForColumn(std::move(v), table->schema.column(base_col)));
+      }
+      changes.emplace_back(rids[i], std::move(updated));
     }
-    Row visible = view ? ProjectViewRow(row, view->column_map) : row;
-    if (predicate != nullptr) {
-      STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                 predicate->EvalPredicate(visible, &ctx));
-      if (!pass) continue;
-    }
-    Row updated = row;
-    for (const auto& [base_col, expr] : compiled_assignments) {
-      STARBURST_ASSIGN_OR_RETURN(Value v, expr->Eval(visible, &ctx));
-      STARBURST_ASSIGN_OR_RETURN(
-          updated[base_col],
-          CoerceForColumn(std::move(v), table->schema.column(base_col)));
-    }
-    updates.emplace_back(rid, std::move(updated));
   }
-  for (auto& [victim, new_row] : updates) {
+  for (auto& [rid, new_row] : changes) {
     STARBURST_RETURN_IF_ERROR(
-        storage_.UpdateRow(table->name, victim, new_row).status());
+        update ? storage_.UpdateRow(table->name, rid, new_row).status()
+               : storage_.DeleteRow(table->name, rid));
   }
   RefreshRowStats(table->name);
-  return ResultSet::Message("UPDATE", static_cast<int64_t>(updates.size()));
+  return ResultSet::Message(update ? "UPDATE" : "DELETE",
+                            static_cast<int64_t>(changes.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -1784,8 +1477,8 @@ void Database::FinishStatement(const std::string& sql, const Status& status,
   entry.parallelism = s.parallelism;
   entry.priority = s.priority_label;
   entry.klass = s.class_label;
-  entry.slow =
-      slow_query_us_ > 0 && run_us >= static_cast<double>(slow_query_us_);
+  const uint64_t slow_us = s.settings->slow_query_us;
+  entry.slow = slow_us > 0 && run_us >= static_cast<double>(slow_us);
   if (entry.slow) {
     em_.slow_queries_total->Increment();
     tracer_.RecordInstant(
@@ -1850,13 +1543,22 @@ void Database::RegisterSystemTables() {
   manager->RegisterTable("sys.query_log", [this] { return QueryLogRows(); });
   manager->RegisterTable("sys.plan_cache", [this] { return PlanCacheRows(); });
   manager->RegisterTable("sys.statements", [this] { return StatementRows(); });
+  manager->RegisterTable("sys.settings", [this] { return SettingsRows(); });
   Status registered = storage_.storage_managers().Register(std::move(manager));
   (void)registered;  // fresh registry: "SYSTEM" cannot collide
 
-  auto define = [this](const char* name, TableSchema schema) {
+  // Every column is NOT NULL except the ones marked nullable.
+  struct Column {
+    const char* name;
+    DataType type;
+    bool nullable = false;
+  };
+  auto define = [this](const char* name, std::initializer_list<Column> cols) {
     TableDef def;
     def.name = name;
-    def.schema = std::move(schema);
+    for (const Column& c : cols) {
+      def.schema.AddColumn(ColumnDef{c.name, c.type, c.nullable});
+    }
     def.storage_manager = "SYSTEM";
     // Nominal stats: the optimizer should not treat a system view as
     // empty (rows materialize at scan time).
@@ -1866,59 +1568,30 @@ void Database::RegisterSystemTables() {
       (void)storage_.CreateTable(def);
     }
   };
-
-  TableSchema metrics;
-  metrics.AddColumn(ColumnDef{"name", DataType::String(), false});
-  metrics.AddColumn(ColumnDef{"kind", DataType::String(), false});
-  metrics.AddColumn(ColumnDef{"value", DataType::Double(), false});
-  define("sys.metrics", std::move(metrics));
-
-  TableSchema qlog;
-  qlog.AddColumn(ColumnDef{"id", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"ts_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"status", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"error", DataType::String(), true});
-  qlog.AddColumn(ColumnDef{"rows", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"parse_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"bind_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"rewrite_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"optimize_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"refine_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"execute_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"total_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"plan_cache_hit", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"spill_bytes", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"peak_memory_bytes", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"parallelism", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"slow", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"queue_us", DataType::Int(), false});
-  qlog.AddColumn(ColumnDef{"priority", DataType::String(), false});
-  qlog.AddColumn(ColumnDef{"class", DataType::String(), false});
-  define("sys.query_log", std::move(qlog));
-
-  TableSchema stmts;
-  stmts.AddColumn(ColumnDef{"id", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"status", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"phase", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"start_ts_us", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"total_us", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"peak_memory_bytes", DataType::Int(), false});
-  stmts.AddColumn(ColumnDef{"priority", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"class", DataType::String(), false});
-  stmts.AddColumn(ColumnDef{"queue_us", DataType::Int(), false});
-  define("sys.statements", std::move(stmts));
-
-  TableSchema pcache;
-  pcache.AddColumn(ColumnDef{"position", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"sql", DataType::String(), false});
-  pcache.AddColumn(ColumnDef{"num_params", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"cost", DataType::Double(), false});
-  pcache.AddColumn(ColumnDef{"cardinality", DataType::Double(), false});
-  pcache.AddColumn(ColumnDef{"catalog_version", DataType::Int(), false});
-  pcache.AddColumn(ColumnDef{"fresh", DataType::Int(), false});
-  define("sys.plan_cache", std::move(pcache));
+  const DataType str = DataType::String();
+  const DataType i64 = DataType::Int();
+  const DataType dbl = DataType::Double();
+  define("sys.metrics", {{"name", str}, {"kind", str}, {"value", dbl}});
+  define("sys.query_log",
+         {{"id", i64},          {"ts_us", i64},        {"sql", str},
+          {"status", str},      {"error", str, true},  {"rows", i64},
+          {"parse_us", i64},    {"bind_us", i64},      {"rewrite_us", i64},
+          {"optimize_us", i64}, {"refine_us", i64},    {"execute_us", i64},
+          {"total_us", i64},    {"plan_cache_hit", i64},
+          {"spill_bytes", i64}, {"peak_memory_bytes", i64},
+          {"parallelism", i64}, {"slow", i64},         {"queue_us", i64},
+          {"priority", str},    {"class", str}});
+  define("sys.statements",
+         {{"id", i64}, {"sql", str}, {"status", str}, {"phase", str},
+          {"start_ts_us", i64}, {"total_us", i64},
+          {"peak_memory_bytes", i64}, {"priority", str}, {"class", str},
+          {"queue_us", i64}});
+  define("sys.plan_cache",
+         {{"position", i64}, {"sql", str}, {"num_params", i64},
+          {"cost", dbl}, {"cardinality", dbl}, {"catalog_version", i64},
+          {"fresh", i64}, {"settings", str}});
+  define("sys.settings", {{"name", str}, {"value", str}, {"default", str},
+                          {"kind", str}, {"affects_plan", i64}});
 }
 
 std::vector<Row> Database::MetricsRows() {
@@ -1968,15 +1641,33 @@ std::vector<Row> Database::PlanCacheRows() const {
   std::vector<Row> rows;
   int64_t position = 0;  // 0 = most recently used
   for (const auto& [key, ps] : plan_cache_.Entries()) {
-    // The cache key is `normalized SQL \x1f knob fingerprint`; expose
-    // only the SQL half.
-    std::string sql = key.substr(0, key.find('\x1f'));
-    rows.push_back(Row({Value::Int(position++), Value::String(std::move(sql)),
+    // The cache key is `normalized SQL \x1f plan fingerprint`: the
+    // statement and the settings it was compiled under.
+    size_t split = key.find('\x1f');
+    rows.push_back(Row({Value::Int(position++),
+                        Value::String(key.substr(0, split)),
                         Value::Int(static_cast<int64_t>(ps->num_params)),
                         Value::Double(ps->plan_cost),
                         Value::Double(ps->plan_cardinality),
                         Value::Int(static_cast<int64_t>(ps->catalog_version)),
-                        Value::Int(ps->FreshAgainst(catalog_) ? 1 : 0)}));
+                        Value::Int(ps->FreshAgainst(catalog_) ? 1 : 0),
+                        Value::String(key.substr(split + 1))}));
+  }
+  return rows;
+}
+
+std::vector<Row> Database::SettingsRows() {
+  static const char* const kKindNames[] = {"int", "bytes", "bool", "enum",
+                                           "list"};
+  Settings copy = *settings();  // the accessors take a mutable target
+  SettingsTarget target{&copy, &plan_cache_, &tracer_, &admission_};
+  std::vector<Row> rows;
+  for (const Setting& s : SettingsTable()) {
+    rows.push_back(Row(
+        {Value::String(s.name), Value::String(FormatSetting(s, s.get(target))),
+         Value::String(FormatSetting(s, DefaultSettingValue(s))),
+         Value::String(kKindNames[static_cast<int>(s.kind)]),
+         Value::Int(s.affects_plan ? 1 : 0)}));
   }
   return rows;
 }

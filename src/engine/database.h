@@ -12,6 +12,7 @@
 #include "common/cancel.h"
 #include "engine/admission.h"
 #include "engine/plan_cache.h"
+#include "engine/settings.h"
 #include "engine/statement_registry.h"
 #include "engine/result_set.h"
 #include "exec/executor.h"
@@ -42,7 +43,7 @@ struct QueryMetrics {
   double plan_cost = 0;
   double plan_cardinality = 0;
   /// Per-operator runtime stats of the last executed plan; set when
-  /// SessionOptions::collect_op_stats is on or EXPLAIN ANALYZE ran.
+  /// COLLECT_OP_STATS is on or EXPLAIN ANALYZE ran.
   std::shared_ptr<const obs::PlanStatsTree> op_stats;
   /// Buffer pool activity during the execute phase (counter deltas).
   BufferPoolStats buffer_pool;
@@ -77,28 +78,6 @@ struct QueryMetrics {
 ///   * RegisterStar() — optimizer strategy alternative rules.
 class Database {
  public:
-  struct SessionOptions {
-    bool rewrite_enabled = true;  // Figure 1: "could be bypassed"
-    rewrite::RuleEngine::Options rewrite;
-    optimizer::Optimizer::Options optimizer;
-    exec::Executor::Options exec;
-    /// Collect per-operator runtime stats for every query (EXPLAIN
-    /// ANALYZE collects regardless). Costs two clock reads per operator
-    /// invocation.
-    bool collect_op_stats = false;
-  };
-
-  /// Default fast/slow classification thresholds (`SET SLOW_PLAN_COST`,
-  /// `SET SLOW_PLAN_ROWS`): a SELECT whose chosen plan's cost or
-  /// cardinality estimate reaches either is classified "slow" and, under
-  /// STATEMENT_PRIORITY = DEFAULT, scheduled at low priority. The cost
-  /// bar corresponds to a few hundred thousand rows flowing through the
-  /// optimizer's cost model (point lookups land around 10^1-10^2); the
-  /// rows bar catches wide result sets whose root estimate survives
-  /// aggregation.
-  static constexpr double kDefaultSlowPlanCost = 1e4;
-  static constexpr double kDefaultSlowPlanRows = 1e5;
-
   explicit Database(size_t buffer_pool_pages = 4096);
 
   Database(const Database&) = delete;
@@ -106,7 +85,7 @@ class Database {
 
   /// Executes one statement (query, DDL, or DML). SELECTs are
   /// transparently cached: re-executing the same text under the same
-  /// session knobs reuses the compiled plan (see plan_cache()).
+  /// plan-affecting settings reuses the compiled plan (see plan_cache()).
   Result<ResultSet> Execute(const std::string& sql);
   /// Executes a ';'-separated script, returning the last result.
   Result<ResultSet> ExecuteScript(const std::string& sql);
@@ -133,7 +112,10 @@ class Database {
   const Catalog& catalog() const { return catalog_; }
   StorageEngine& storage() { return storage_; }
   rewrite::RuleEngine& rule_engine() { return rule_engine_; }
-  SessionOptions& options() { return options_; }
+  /// The settings in effect, read-only: SQL `SET` is the only writer.
+  /// The reference stays valid until the next SET; concurrent statements
+  /// each read the snapshot they took when they began.
+  const Settings& options() const { return *settings(); }
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
 
@@ -152,10 +134,6 @@ class Database {
   /// Global memory-admission ledger (`SET ADMISSION_MEMORY`).
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
-
-  /// STATEMENT_TIMEOUT_MS deadline applied to every new statement;
-  /// 0 (the default) disables the deadline.
-  int64_t statement_timeout_ms() const { return statement_timeout_ms_; }
 
   /// The session's span recorder. Disabled by default; once enabled,
   /// every statement records Figure-1 phase spans and rewrite-rule
@@ -182,7 +160,7 @@ class Database {
 
   /// SLOW_QUERY_US threshold; 0 (the default) disables slow-query
   /// flagging.
-  uint64_t slow_query_us() const { return slow_query_us_; }
+  uint64_t slow_query_us() const { return options().slow_query_us; }
 
   /// The engine-shared worker pool: every statement's parallel phases
   /// run here, so a HIGH statement's morsels interleave ahead of a LOW
@@ -201,6 +179,9 @@ class Database {
   /// the cancel token; FinishStatement copies the metrics into
   /// `last_metrics_` for the single-session accessor.
   struct StatementState {
+    /// The settings snapshot taken when the statement began; compile and
+    /// execute read only this copy.
+    std::shared_ptr<const Settings> settings;
     QueryMetrics metrics;
     CancelToken cancel;
     int64_t id = 0;          // registry id; 0 = not registered (Prepare)
@@ -233,15 +214,19 @@ class Database {
   std::vector<Row> QueryLogRows() const;
   std::vector<Row> PlanCacheRows() const;
   std::vector<Row> StatementRows() const;
+  std::vector<Row> SettingsRows();
   /// Clear error for any DDL/DML aimed at the reserved sys schema.
   Status RejectSystemTarget(const std::string& name, const char* verb) const;
 
   /// `cache_key` is non-empty only for single statements arriving through
-  /// Execute with caching enabled; a compiled SELECT is inserted under it.
+  /// Execute with caching enabled; a compiled SELECT is inserted under it,
+  /// with `sql` kept for recompiles.
   Result<ResultSet> ExecuteStatement(const ast::Statement& stmt,
-                                     const std::string& cache_key = {});
+                                     const std::string& cache_key = {},
+                                     const std::string& sql = {});
   Result<ResultSet> RunSelect(const ast::Query& query,
-                              const std::string& cache_key = {});
+                              const std::string& cache_key,
+                              const std::string& sql);
   Result<ResultSet> RunDropTable(const std::string& name);
   Result<ResultSet> RunDropIndex(const std::string& name);
   Result<ResultSet> RunDropView(const std::string& name);
@@ -252,11 +237,18 @@ class Database {
   Result<ResultSet> RunCreateTable(const ast::CreateTableStatement& stmt);
   Result<ResultSet> RunCreateIndex(const ast::CreateIndexStatement& stmt);
   Result<ResultSet> RunCreateView(const ast::CreateViewStatement& stmt);
-  Result<ResultSet> RunSet(const ast::SetStatement& stmt);
+  /// SET: applies one settings-table row to a copy of the snapshot (or
+  /// to the component that owns it) and swaps the copy in.
+  Result<ResultSet> ChangeSetting(const ast::SetStatement& stmt);
   Result<ResultSet> RunKill(const ast::KillStatement& stmt);
   Result<ResultSet> RunInsert(const ast::InsertStatement& stmt);
   Result<ResultSet> RunDelete(const ast::DeleteStatement& stmt);
   Result<ResultSet> RunUpdate(const ast::UpdateStatement& stmt);
+  /// DELETE (no `assignments`) or UPDATE of a table or updatable view.
+  Result<ResultSet> RunMutation(
+      const std::string& target, const ast::Expr* where,
+      const std::vector<std::pair<std::string, const ast::Expr*>>*
+          assignments);
 
   /// The full compile+execute pipeline for a bound query.
   struct QueryOutput {
@@ -279,16 +271,22 @@ class Database {
   /// re-executable artifact, filling the compile-phase metrics.
   Result<PreparedStatementPtr> CompileSelect(const ast::Query& query,
                                              PipelineCapture* capture);
+  /// Parses `sql`, which must be a SELECT, and compiles it.
+  Result<PreparedStatementPtr> CompileSql(const std::string& sql);
   /// Figure 1's run half: re-opens the compiled operator tree under a
   /// fresh ExecContext (binding `params` when given) and drains it.
   Result<QueryOutput> ExecuteCompiled(PreparedStatement& ps,
                                       const std::vector<Value>* params);
-  /// The session-knob half of a plan-cache key: every SET knob that
-  /// changes what compilation produces. Knob changes key-miss rather
-  /// than invalidate.
-  std::string KnobFingerprint() const;
-  std::string PlanCacheKey(const std::string& sql) const {
-    return NormalizeSql(sql) + '\x1f' + KnobFingerprint();
+  /// Normalized SQL plus the statement snapshot's plan fingerprint:
+  /// setting changes key-miss rather than invalidate.
+  static std::string PlanCacheKey(const std::string& sql) {
+    return NormalizeSql(sql) + '\x1f' +
+           stmt_state().settings->plan_fingerprint;
+  }
+  /// The current settings snapshot.
+  std::shared_ptr<const Settings> settings() const {
+    std::lock_guard<std::mutex> lock(settings_mu_);
+    return settings_;
   }
   void SnapshotPlanCacheMetrics();
   /// Names of views whose bodies (transitively) reference the object
@@ -311,6 +309,11 @@ class Database {
     const ast::Expr* where = nullptr;
   };
   Result<UpdatableView> ResolveUpdatableView(const ViewDef& view) const;
+  /// The base table a DML statement writes; `*view` is set when `name`
+  /// is an updatable view over it.
+  Result<const TableDef*> ResolveDmlTarget(
+      const std::string& name, const char* verb,
+      std::unique_ptr<UpdatableView>* view) const;
 
   /// Coerces `v` to a column type (numeric widening only) and checks
   /// nullability.
@@ -323,7 +326,9 @@ class Database {
   StorageEngine storage_;
   rewrite::RuleEngine rule_engine_;
   std::vector<optimizer::Star> extra_stars_;
-  SessionOptions options_;
+  /// Swapped whole by SET under `settings_mu_`, never written in place.
+  std::shared_ptr<const Settings> settings_;
+  mutable std::mutex settings_mu_;
   /// Snapshot of the most recently finished statement's metrics (see
   /// last_metrics()); guarded against concurrent finishers.
   QueryMetrics last_metrics_;
@@ -337,19 +342,10 @@ class Database {
   /// Cached operator trees hold only a raw pointer to it that they never
   /// touch at destruction, so its position among the members is free.
   exec::parallel::TaskScheduler scheduler_{0};
-  int64_t statement_timeout_ms_ = 0;  // 0 = no deadline
-  /// SET STATEMENT_PRIORITY: −1 = DEFAULT (derive from the plan's
-  /// fast/slow class), else a StatementPriority index.
-  int statement_priority_ = -1;
-  /// Fast/slow classification thresholds (SET SLOW_PLAN_COST /
-  /// SLOW_PLAN_ROWS): a plan at or above either estimate is "slow".
-  double slow_plan_cost_ = kDefaultSlowPlanCost;
-  double slow_plan_rows_ = kDefaultSlowPlanRows;
 
   obs::MetricsRegistry metrics_registry_;
   obs::QueryLog query_log_;
   bool metrics_enabled_ = true;
-  uint64_t slow_query_us_ = 0;  // 0 = off
   /// Statement ids (metrics on or off); atomic so concurrent sessions
   /// never share an id.
   std::atomic<uint64_t> statement_seq_{0};

@@ -4,7 +4,7 @@
 
 namespace starburst {
 
-bool PreparedStatement::FreshAgainst(const Catalog& catalog) const {
+bool CompiledSelect::FreshAgainst(const Catalog& catalog) const {
   if (catalog.version() == catalog_version) return true;
   for (const auto& [key, stamp] : dependencies) {
     if (catalog.ObjectVersion(key) != stamp) return false;
@@ -27,19 +27,19 @@ void PlanCache::set_capacity(size_t n) {
   }
 }
 
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  entries_.clear();
-}
-
 PreparedStatementPtr PlanCache::Lookup(const std::string& key,
-                                       const Catalog& catalog) {
+                                       const Catalog& catalog, bool* busy) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   PreparedStatementPtr stmt = it->second->stmt;
+  if (!stmt->TryCheckout()) {
+    ++stats_.misses;
+    *busy = true;
+    return nullptr;
+  }
   if (!stmt->FreshAgainst(catalog)) {
+    stmt->Release();
     lru_.erase(it->second);
     entries_.erase(it);
     ++stats_.invalidations;

@@ -1,6 +1,7 @@
 #ifndef STARBURST_ENGINE_PLAN_CACHE_H_
 #define STARBURST_ENGINE_PLAN_CACHE_H_
 
+#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -29,9 +30,7 @@ namespace starburst {
 /// pointers into the optimizer's per-box plans, which point into the
 /// graph — so `root` must die before `optimizer`, which must die before
 /// `graph` (members are destroyed bottom-up).
-struct PreparedStatement {
-  // -- identity --
-  std::string sql;  // original statement text (for recompiles)
+struct CompiledSelect {
   size_t num_params = 0;
 
   // -- compile artifacts (see ordering note above) --
@@ -84,18 +83,30 @@ struct PreparedStatement {
   bool FreshAgainst(const Catalog& catalog) const;
 };
 
+/// A CompiledSelect, its text and its checkout. An operator tree keeps
+/// per-run state, so one statement at a time holds the checkout: it
+/// alone runs, recompiles or re-stamps the statement. A caller that finds
+/// it taken runs a private copy, compiled from `sql`, which never changes
+/// once the statement is shared.
+struct PreparedStatement : CompiledSelect {
+  std::string sql;  // original statement text (for recompiles)
+  bool TryCheckout() { return !checked_out.exchange(true); }
+  void Release() { checked_out.store(false); }
+  std::atomic<bool> checked_out{false};
+};
+
 using PreparedStatementPtr = std::shared_ptr<PreparedStatement>;
 
 /// LRU cache of compiled SELECT statements, keyed on (normalized SQL,
-/// session-knob fingerprint). Session knobs key-miss rather than
-/// invalidate: two parallelism settings hold two entries side by side.
+/// plan fingerprint). Setting changes key-miss rather than invalidate:
+/// two parallelism settings hold two entries side by side.
 /// DDL and ANALYZE invalidate through the catalog version check at
 /// lookup time — stale entries are dropped, never served.
 ///
 /// All operations are internally serialized: concurrent sessions share
-/// one cache, and lookups mutate LRU order. (The compiled trees handed
-/// out are NOT made concurrently executable by this — two sessions must
-/// not execute the same PreparedStatement at once.)
+/// one cache, and lookups mutate LRU order. A hit hands the entry out
+/// checked out (PreparedStatement::TryCheckout), so two statements never
+/// run one compiled tree at once.
 class PlanCache {
  public:
   static constexpr size_t kDefaultCapacity = 64;
@@ -120,15 +131,17 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
   }
-  void Clear();
-
-  /// The fresh entry under `key`, moved to the front of the LRU, or null.
+  /// The fresh entry under `key`, moved to the front of the LRU and
+  /// checked out to the caller (who must Release it), or null.
   /// A stale entry (a dependency's catalog stamp moved) is dropped and
   /// counted as an invalidation; a fresh hit whose global version merely
   /// drifted (unrelated DDL) is re-stamped so later lookups take the
-  /// cheap path. Absence is NOT counted here — the caller records a miss
-  /// only when the statement turns out to be cacheable (see CountMiss).
-  PreparedStatementPtr Lookup(const std::string& key, const Catalog& catalog);
+  /// cheap path. An entry another statement has checked out counts as a
+  /// miss and sets `*busy`: the caller compiles a private copy and must
+  /// not insert it. Absence is NOT counted here — the caller records a
+  /// miss only when the statement turns out to be cacheable (CountMiss).
+  PreparedStatementPtr Lookup(const std::string& key, const Catalog& catalog,
+                              bool* busy);
 
   /// Inserts (or replaces) the entry under `key`, evicting the least
   /// recently used entry past capacity. No-op when disabled.

@@ -1,12 +1,13 @@
 #include "exec/executor.h"
 
+#include <algorithm>
 #include <thread>
 
 namespace starburst::exec {
 
 size_t Executor::Options::DefaultParallelism() {
-  unsigned int n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
+  size_t n = std::thread::hardware_concurrency();
+  return std::clamp<size_t>(n, 1, kMaxParallelism);
 }
 
 Result<std::vector<Row>> Executor::Execute(const optimizer::PlanPtr& plan,
@@ -19,17 +20,9 @@ Result<std::vector<Row>> Executor::Execute(const optimizer::PlanPtr& plan,
                                            const optimizer::Optimizer& optimizer,
                                            const qgm::Graph& graph,
                                            const Options& options) {
-  PlanRefiner::Options refine_options;
-  refine_options.cache_mode = options.cache_mode;
-  refine_options.ship_delay_us = options.ship_delay_us;
-  refine_options.semi_naive_recursion = options.semi_naive_recursion;
-  refine_options.stats = options.stats;
-  refine_options.parallelism = options.parallelism == 0 ? 1 : options.parallelism;
-  refine_options.parallel_min_rows = options.parallel_min_rows;
-  refine_options.batch_size = options.batch_size == 0 ? 1 : options.batch_size;
-  refine_options.sort_memory_bytes = options.sort_memory_bytes;
-  refine_options.agg_memory_bytes = options.agg_memory_bytes;
-  refine_options.vectorize = options.vectorize;
+  PlanRefiner::Options refine_options = options;
+  if (refine_options.parallelism == 0) refine_options.parallelism = 1;
+  if (refine_options.batch_size == 0) refine_options.batch_size = 1;
   PlanRefiner refiner(catalog_, &optimizer.box_plans(), refine_options);
   STARBURST_ASSIGN_OR_RETURN(OperatorPtr root, refiner.Refine(plan));
   if (graph.limit >= 0) {

@@ -10,34 +10,16 @@ namespace starburst::exec {
 /// an operator tree and interprets it against the database.
 class Executor {
  public:
-  struct Options {
-    SubqueryCacheMode cache_mode = SubqueryCacheMode::kMemo;
-    double ship_delay_us = 0;
-    bool semi_naive_recursion = true;
-    /// Optional sink for per-operator runtime stats (EXPLAIN ANALYZE).
-    obs::PlanStatsTree* stats = nullptr;
-    /// Worker count for morsel-driven parallel execution (1 = serial).
-    /// Defaults to the hardware concurrency; SET PARALLELISM overrides.
-    size_t parallelism = DefaultParallelism();
-    /// Minimum estimated scanned rows before a subtree is parallelized.
-    double parallel_min_rows = 1024;
-    /// Rows per NextBatch call (SET BATCH_SIZE; 1 pins exact
-    /// row-at-a-time behavior for differential testing).
-    size_t batch_size = RowBatch::kDefaultCapacity;
-    /// Per-operator build budgets (bytes, 0 = unlimited): past them a
-    /// sort cuts spilled runs and an aggregation/DISTINCT grace-
-    /// partitions new keys to temp storage (SET SORT_MEMORY /
-    /// SET AGG_MEMORY).
-    uint64_t sort_memory_bytes = 0;
-    uint64_t agg_memory_bytes = 0;
+  /// The refiner's options plus the query-wide memory cap, with the
+  /// worker count defaulting to the hardware concurrency.
+  struct Options : PlanRefiner::Options {
+    Options() { parallelism = DefaultParallelism(); }
     /// Query-wide cap over every governed operator's sum
     /// (SET QUERY_MEMORY; 0 = unlimited).
     uint64_t query_memory_bytes = 0;
-    /// Compile expression sites to column-at-a-time kernel programs
-    /// (SET VECTORIZE; 0 pins the row-at-a-time interpreter, the
-    /// differential-testing reference).
-    bool vectorize = true;
 
+    /// SET PARALLELISM's upper bound; the hardware default is clamped to it.
+    static constexpr size_t kMaxParallelism = 256;
     static size_t DefaultParallelism();
   };
 

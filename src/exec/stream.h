@@ -199,7 +199,7 @@ class ExecContext {
 /// The public Open/Next/NextBatch/Close entry points are non-virtual
 /// shims: with no stats sink attached (the default) they forward straight
 /// to the *Impl virtuals at the cost of one branch; with one attached
-/// (EXPLAIN ANALYZE, SessionOptions::collect_op_stats) they also count
+/// (EXPLAIN ANALYZE, COLLECT_OP_STATS) they also count
 /// invocations, rows, and inclusive wall time. Batched calls amortize the
 /// accounting: one timestamp pair and one next_calls tick per batch,
 /// rows_out += the batch's row count. Subclasses implement OpenImpl/

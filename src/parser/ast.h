@@ -2,6 +2,7 @@
 #define STARBURST_PARSER_AST_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -408,11 +409,16 @@ struct AnalyzeStatement : Statement {
 /// assignment (e.g. SET PARALLELISM = 4, SET STATEMENT_PRIORITY = HIGH).
 struct SetStatement : Statement {
   SetStatement() : Statement(StatementKind::kSet) {}
-  std::string name;       // upper-cased option name
+  std::string name;       // upper-cased option name, dotted if nested
   int64_t value = 0;
+  /// Byte-unit suffix multiplier (SET SORT_MEMORY = 64 KB: 1024); 1 when
+  /// there is none. The engine decides which options accept one.
+  int64_t unit = 1;
   /// Upper-cased word value (SET STATEMENT_PRIORITY = HIGH); empty for
   /// numeric and DEFAULT assignments.
   std::string ident_value;
+  /// Quoted value (SET REWRITE.ENABLED_CLASSES = 'merge,subquery').
+  std::optional<std::string> string_value;
   bool is_default = false;  // SET <name> = DEFAULT
 };
 

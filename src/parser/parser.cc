@@ -203,7 +203,7 @@ Result<ast::StatementPtr> Parser::ParseStatementInner() {
   if (MatchKeyword("SET")) {
     auto stmt = std::make_unique<ast::SetStatement>();
     STARBURST_ASSIGN_OR_RETURN(std::string name,
-                               ExpectIdentifier("option name"));
+                               ParseQualifiedTableName("option name"));
     stmt->name = IdentUpper(name);
     STARBURST_RETURN_IF_ERROR(Expect(TokenKind::kEq, "'='").status());
     if (MatchKeyword("DEFAULT")) {
@@ -214,22 +214,21 @@ Result<ast::StatementPtr> Parser::ParseStatementInner() {
       STARBURST_ASSIGN_OR_RETURN(std::string word,
                                  ExpectIdentifier("option value"));
       stmt->ident_value = IdentUpper(word);
+    } else if (Check(TokenKind::kStringLiteral)) {
+      stmt->string_value = Advance().text;
     } else {
       bool negative = MatchToken(TokenKind::kMinus);
       STARBURST_ASSIGN_OR_RETURN(Token value,
                                  Expect(TokenKind::kIntLiteral, "integer"));
       stmt->value = negative ? -value.int_value : value.int_value;
-      // Optional byte-unit suffix for the memory knobs:
-      // SET SORT_MEMORY = 64 KB.
-      int64_t unit = 1;
+      // Optional byte-unit suffix: SET SORT_MEMORY = 64 KB.
       if (MatchKeyword("K") || MatchKeyword("KB")) {
-        unit = 1024;
+        stmt->unit = int64_t{1} << 10;
       } else if (MatchKeyword("M") || MatchKeyword("MB")) {
-        unit = 1024 * 1024;
+        stmt->unit = int64_t{1} << 20;
       } else if (MatchKeyword("G") || MatchKeyword("GB")) {
-        unit = 1024 * 1024 * 1024;
+        stmt->unit = int64_t{1} << 30;
       }
-      stmt->value *= unit;
     }
     return ast::StatementPtr(std::move(stmt));
   }

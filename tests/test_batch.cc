@@ -270,15 +270,12 @@ TEST_F(BatchDifferentialTest, DependentJoinReopensUnderEveryCacheMode) {
       "SELECT k FROM a WHERE v > (SELECT AVG(x) FROM b WHERE b.k = a.k)";
   SetExec(1, 1);
   std::vector<Row> reference = Run(q, false);
-  for (exec::SubqueryCacheMode mode :
-       {exec::SubqueryCacheMode::kNone, exec::SubqueryCacheMode::kLastValue,
-        exec::SubqueryCacheMode::kMemo}) {
-    db_.options().exec.cache_mode = mode;
+  for (const char* mode : {"NONE", "LAST_VALUE", "MEMO"}) {
+    Must(std::string("SET EXEC.CACHE_MODE = ") + mode);
     for (size_t batch_size : {size_t{7}, size_t{1024}}) {
       SetExec(batch_size, 1);
       EXPECT_EQ(Run(q, false), reference)
-          << "cache_mode=" << static_cast<int>(mode)
-          << " batch_size=" << batch_size;
+          << "cache_mode=" << mode << " batch_size=" << batch_size;
     }
   }
 }
@@ -294,7 +291,7 @@ void CollectActuals(const obs::PlanStatsTree::Node* node,
 }
 
 TEST_F(BatchDifferentialTest, ExplainAnalyzeRowCountsExactAcrossBatchSizes) {
-  db_.options().collect_op_stats = true;
+  Must("SET COLLECT_OP_STATS = 1");
   const std::string q = "SELECT a.k, b.x FROM a, b WHERE a.k = b.k AND a.v < 50";
 
   SetExec(1, 1);

@@ -269,9 +269,9 @@ TEST_F(EngineTest, RewriteOffMatchesRewriteOn) {
       "WHERE Q3.onhand_qty < Q1.order_qty AND Q3.type = 'CPU') "
       "ORDER BY partno, price";
   std::vector<Row> with = MustQuery(sql);
-  db_.options().rewrite_enabled = false;
+  ASSERT_TRUE(Exec("SET REWRITE_ENABLED = 0"));
   std::vector<Row> without = MustQuery(sql);
-  db_.options().rewrite_enabled = true;
+  ASSERT_TRUE(Exec("SET REWRITE_ENABLED = DEFAULT"));
   EXPECT_EQ(with, without);
   EXPECT_EQ(with.size(), 2u);
 }
@@ -360,13 +360,13 @@ TEST_F(EngineTest, SharedTableExpressionMaterializedOnce) {
   EXPECT_EQ(rows.size(), 2u);
 
   // Ablation: answers identical with sharing disabled.
-  db_.options().optimizer.materialize_shared = false;
+  ASSERT_TRUE(Exec("SET OPTIMIZER.MATERIALIZE_SHARED = 0"));
   std::vector<Row> unshared = MustQuery(
       "WITH stats(t, n) AS (SELECT type, COUNT(*) FROM inventory "
       "GROUP BY type) "
       "SELECT a.t FROM stats a, stats b WHERE a.n > b.n");
   EXPECT_EQ(db_.last_metrics().exec_stats.shared_materializations, 0u);
-  db_.options().optimizer.materialize_shared = true;
+  ASSERT_TRUE(Exec("SET OPTIMIZER.MATERIALIZE_SHARED = DEFAULT"));
   EXPECT_EQ(rows.size(), unshared.size());
 }
 

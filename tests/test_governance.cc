@@ -404,6 +404,28 @@ TEST_F(GovernanceTest, SysStatementsShowsOutcomes) {
   EXPECT_GE((*counter)[0][0].double_value(), 1.0);
 }
 
+TEST_F(GovernanceTest, DmlHonoursStatementTimeoutAndChangesNothing) {
+  const std::string contents = "SELECT COUNT(*), SUM(k), SUM(grp) FROM t";
+  Result<std::vector<Row>> before = db_.Query(contents);
+  ASSERT_TRUE(before.ok());
+  // The WHERE's subquery is the slow cross join: it runs inside the DML
+  // scan, before any row changes.
+  const std::string slow =
+      "(SELECT COUNT(*) FROM t a, t b WHERE a.k + b.k >= 0)";
+  Set("SET STATEMENT_TIMEOUT_MS = 20");
+  for (const std::string& dml :
+       {"UPDATE t SET k = k + 1, grp = 0 WHERE id < " + slow,
+        "DELETE FROM t WHERE id < " + slow}) {
+    Result<ResultSet> r = db_.Execute(dml);
+    ASSERT_FALSE(r.ok()) << dml;
+    EXPECT_EQ(r.status().code(), StatusCode::kTimeout) << dml;
+  }
+  Set("SET STATEMENT_TIMEOUT_MS = DEFAULT");
+  Result<std::vector<Row>> after = db_.Query(contents);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency stress: mixed workload + killer thread, no leaked state
 // ---------------------------------------------------------------------------
@@ -420,9 +442,6 @@ struct RowTotalLess {
 };
 
 TEST_F(GovernanceTest, ConcurrentMixedWorkloadWithKillerThread) {
-  // Shared compiled trees are not concurrently executable: concurrent
-  // sessions must run with the plan cache off.
-  Set("SET PLAN_CACHE_SIZE = 0");
   Set("SET SORT_MEMORY = 64 KB");
   Set("SET AGG_MEMORY = 64 KB");
 

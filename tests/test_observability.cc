@@ -392,7 +392,7 @@ TEST_F(ObservabilityEngineTest, DisabledTracerLeavesMetricsAlone) {
 }
 
 TEST_F(ObservabilityEngineTest, SessionOptionCollectsOpStatsPerQuery) {
-  db_.options().collect_op_stats = true;
+  Must("SET COLLECT_OP_STATS = 1");
   ResultSet rs = Must(kFig2Query);
   const QueryMetrics& m = db_.last_metrics();
   ASSERT_NE(m.op_stats, nullptr);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/database.h"
 #include "engine/plan_cache.h"
+#include "engine/settings.h"
 #include "exec/executor.h"
 
 namespace starburst {
@@ -350,6 +354,158 @@ TEST_F(PlanCacheTest, PrepareSharesCacheWithExecute) {
 }
 
 // ---------------------------------------------------------------------------
+// The settings table: the cache key, validation, concurrent SET
+// ---------------------------------------------------------------------------
+
+/// An in-range value other than `s`'s default, as SQL spells it. The
+/// values a SELECT cannot run under (a 1 ms deadline, a 1-byte admission
+/// budget) are replaced by harmless non-defaults.
+std::string NonDefaultValue(const Setting& s) {
+  static const std::map<std::string, std::string> kHarmless = {
+      {"STATEMENT_TIMEOUT_MS", "60000"}, {"ADMISSION_MEMORY", "1 GB"}};
+  if (auto it = kHarmless.find(s.name); it != kHarmless.end()) {
+    return it->second;
+  }
+  SettingValue d = DefaultSettingValue(s);
+  switch (s.kind) {
+    case SettingKind::kEnum:
+      return s.labels[(d.number + 1) % s.labels.size()];
+    case SettingKind::kList:
+      return "'merge'";
+    default:
+      return std::to_string(d.number + 1 <= s.max ? d.number + 1
+                                                  : d.number - 1);
+  }
+}
+
+TEST_F(PlanCacheTest, EverySettingKeysTheCacheExactlyWhenItAffectsPlans) {
+  const std::string q = "SELECT grp, COUNT(*) FROM t GROUP BY grp";
+  ResultSet reference = Run(q);
+  for (const Setting& s : SettingsTable()) {
+    const std::string name = s.name;
+    Run("SET " + name + " = " + NonDefaultValue(s));
+    ResultSet got = Run(q);
+    EXPECT_EQ(M().plan_cache_hit, !s.affects_plan) << name;
+    EXPECT_EQ(Canon(got), Canon(reference)) << name;
+    Run("SET " + name + " = DEFAULT");
+    Run(q);
+    EXPECT_TRUE(M().plan_cache_hit) << name << ": DEFAULT keeps the entry";
+  }
+}
+
+TEST_F(PlanCacheTest, SetRejectsOutOfRangeValuesAndKeepsThePrevious) {
+  // No statement but SET runs until the checks below prove every value is
+  // back in range: a PARALLELISM of 2^30 must never reach a plan.
+  Run("SET PARALLELISM = 3");
+  Run("SET BATCH_SIZE = 64");
+  Run("SET SORT_MEMORY = 64 KB");
+  for (const char* bad :
+       {"SET PARALLELISM = 1 G", "SET PARALLELISM = 257",
+        "SET PARALLELISM = -1", "SET BATCH_SIZE = 2000000000",
+        "SET BATCH_SIZE = 65537", "SET BATCH_SIZE = 0", "SET BATCH_SIZE = 1 KB",
+        "SET SORT_MEMORY = 9000000000 GB", "SET SORT_MEMORY = -1",
+        "SET VECTORIZE = 2", "SET STATEMENT_PRIORITY = URGENT",
+        "SET STATEMENT_PRIORITY = 1", "SET EXEC.CACHE_MODE = 5",
+        "SET REWRITE.ENABLED_CLASSES = 3", "SET BATCH_SIZE = 'x'",
+        "SET STATEMENT_TIMEOUT_MS = 2147483648", "SET NO_SUCH.OPTION = 1"}) {
+    Result<ResultSet> r = db_.Execute(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kSemanticError) << bad;
+  }
+  ASSERT_EQ(db_.options().exec.parallelism, 3u);
+  ASSERT_EQ(db_.options().exec.batch_size, 64u);
+  EXPECT_EQ(db_.options().exec.sort_memory_bytes, 64u << 10);
+  EXPECT_TRUE(db_.options().exec.vectorize);
+  EXPECT_EQ(db_.options().statement_timeout_ms, 0);
+  // The range ends themselves are accepted.
+  EXPECT_EQ(Run("SET BATCH_SIZE = 65536").message(), "SET BATCH_SIZE = 65536");
+  EXPECT_EQ(Run("SET PARALLELISM = 256").message(), "SET PARALLELISM = 256");
+  Run("SET PARALLELISM = 2");
+  EXPECT_EQ(Canon(Run("SELECT COUNT(*) FROM t")).size(), 1u);
+}
+
+TEST_F(PlanCacheTest, ConcurrentRunsOfOneCachedSelectGetPrivateTrees) {
+  const std::string q = "SELECT grp, COUNT(*), SUM(id) FROM t GROUP BY grp";
+  const std::vector<std::string> want = Canon(Run(q));
+  Run(q);
+  ASSERT_TRUE(M().plan_cache_hit);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        Result<ResultSet> r = db_.Execute(q);
+        if (!r.ok() || Canon(*r) != want) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  // The shared entry stays cached and was never replaced by a copy.
+  Run(q);
+  EXPECT_TRUE(M().plan_cache_hit);
+  EXPECT_EQ(M().plan_cache_entries, 1u);
+}
+
+TEST_F(PlanCacheTest, ConcurrentRunsOfOnePreparedHandleGetPrivateTrees) {
+  Result<Database::PreparedHandle> ps =
+      db_.Prepare("SELECT COUNT(*), SUM(id) FROM t WHERE grp = ?");
+  ASSERT_TRUE(ps.ok());
+  // Stale from the start: the first run to check the handle out
+  // recompiles it in place while the others run private copies.
+  Run("ANALYZE t");
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < 300; ++i) {
+        int64_t grp = (w + i) % 5;
+        Result<ResultSet> r = db_.ExecutePrepared(*ps, {Value::Int(grp)});
+        if (!r.ok() || r->rows().size() != 1 ||
+            r->rows()[0][0].int_value() != 10 ||
+            r->rows()[0][1].int_value() != 10 * grp + 225) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(PlanCacheTest, SetDuringConcurrentSelectsIsRaceFree) {
+  const std::string q = "SELECT grp, SUM(id) FROM t WHERE id > 3 GROUP BY grp";
+  const std::vector<std::string> want = Canon(Run(q));
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::thread setter([&] {
+    for (int i = 0; i < 300; ++i) {
+      const std::string batch = i % 2 == 0 ? "7" : "DEFAULT";
+      const std::string on = i % 3 == 0 ? "0" : "DEFAULT";
+      const std::string sort = i % 4 == 0 ? "1 KB" : "DEFAULT";
+      for (const std::string& set :
+           {"SET BATCH_SIZE = " + batch, "SET VECTORIZE = " + on,
+            "SET SORT_MEMORY = " + sort}) {
+        if (!db_.Execute(set).ok()) wrong.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 20 || !done.load(); ++i) {
+        Result<ResultSet> got = db_.Execute(q);
+        if (!got.ok() || Canon(*got) != want) wrong.fetch_add(1);
+      }
+    });
+  }
+  setter.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // DROP consistency: catalog and storage must never diverge
 // ---------------------------------------------------------------------------
 
@@ -458,7 +614,7 @@ TEST_F(PlanCacheTest, ScriptStatementsAttributeOwnParseTime) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanCacheTest, CachedStatsTreeResetsBetweenRuns) {
-  db_.options().collect_op_stats = true;
+  Run("SET COLLECT_OP_STATS = 1");
   // Fingerprint changed relative to SetUp traffic → fresh compile.
   const std::string q = "SELECT COUNT(*) FROM t";
   Run(q);

@@ -89,9 +89,10 @@ TEST_P(QueryEquivalenceTest, RewriteOnOffAgree) {
   Populate(&db, 200, 42);
   Result<std::vector<Row>> on = db.Query(GetParam());
   ASSERT_TRUE(on.ok()) << GetParam() << " -> " << on.status().ToString();
-  db.options().rewrite_enabled = false;
+  ASSERT_TRUE(db.Execute("SET REWRITE_ENABLED = 0").ok());
   Result<std::vector<Row>> off = db.Query(GetParam());
   ASSERT_TRUE(off.ok()) << GetParam() << " -> " << off.status().ToString();
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit) << GetParam();
   EXPECT_EQ(Sorted(*on), Sorted(*off)) << GetParam();
 }
 
@@ -101,15 +102,19 @@ TEST_P(QueryEquivalenceTest, JoinEnumeratorTogglesAgree) {
   Result<std::vector<Row>> reference = db.Query(GetParam());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  db.options().optimizer.join.allow_composite_inner = false;
+  ASSERT_TRUE(
+      db.Execute("SET OPTIMIZER.JOIN.ALLOW_COMPOSITE_INNER = 0").ok());
   Result<std::vector<Row>> left_deep = db.Query(GetParam());
   ASSERT_TRUE(left_deep.ok()) << left_deep.status().ToString();
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit) << GetParam();
   EXPECT_EQ(Sorted(*reference), Sorted(*left_deep));
 
-  db.options().optimizer.join.allow_cartesian = true;
-  db.options().optimizer.join.allow_composite_inner = true;
+  ASSERT_TRUE(db.Execute("SET OPTIMIZER.JOIN.ALLOW_CARTESIAN = 1").ok());
+  ASSERT_TRUE(
+      db.Execute("SET OPTIMIZER.JOIN.ALLOW_COMPOSITE_INNER = 1").ok());
   Result<std::vector<Row>> cartesian_ok = db.Query(GetParam());
   ASSERT_TRUE(cartesian_ok.ok());
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit) << GetParam();
   EXPECT_EQ(Sorted(*reference), Sorted(*cartesian_ok));
 }
 
@@ -118,12 +123,14 @@ TEST_P(QueryEquivalenceTest, SubqueryCacheModesAgree) {
   Populate(&db, 120, 44);
   Result<std::vector<Row>> memo = db.Query(GetParam());
   ASSERT_TRUE(memo.ok()) << memo.status().ToString();
-  db.options().exec.cache_mode = exec::SubqueryCacheMode::kNone;
+  ASSERT_TRUE(db.Execute("SET EXEC.CACHE_MODE = NONE").ok());
   Result<std::vector<Row>> none = db.Query(GetParam());
   ASSERT_TRUE(none.ok()) << none.status().ToString();
-  db.options().exec.cache_mode = exec::SubqueryCacheMode::kLastValue;
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit) << GetParam();
+  ASSERT_TRUE(db.Execute("SET EXEC.CACHE_MODE = LAST_VALUE").ok());
   Result<std::vector<Row>> last = db.Query(GetParam());
   ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_FALSE(db.last_metrics().plan_cache_hit) << GetParam();
   EXPECT_EQ(Sorted(*memo), Sorted(*none));
   EXPECT_EQ(Sorted(*memo), Sorted(*last));
 }

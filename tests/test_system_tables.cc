@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "engine/settings.h"
 
 namespace starburst {
 namespace {
@@ -145,6 +146,47 @@ TEST_F(SystemTablesTest, PlanCacheTableExposesEntries) {
       "WHERE sql = 'SELECT A FROM T WHERE A < 3'");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][2], Value::Int(1));  // fresh against current catalog
+}
+
+TEST_F(SystemTablesTest, SettingsTableListsEveryRowAndTheCacheKeysOnIt) {
+  std::vector<Row> all = MustQuery("SELECT * FROM sys.settings");
+  ASSERT_EQ(all.size(), SettingsTable().size());
+  std::vector<Row> batch = MustQuery(
+      "SELECT value, default, kind, affects_plan FROM sys.settings "
+      "WHERE name = 'BATCH_SIZE'");
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0],
+            Row({Value::String("1024"), Value::String("1024"),
+                 Value::String("int"), Value::Int(1)}));
+
+  ASSERT_TRUE(Exec("SET BATCH_SIZE = 7"));
+  ASSERT_TRUE(Exec("SET PLAN_CACHE_SIZE = 5"));
+  ASSERT_TRUE(Exec("SET EXEC.CACHE_MODE = LAST_VALUE"));
+  std::vector<Row> changed = MustQuery(
+      "SELECT name, value, affects_plan FROM sys.settings WHERE name IN "
+      "('BATCH_SIZE', 'PLAN_CACHE_SIZE', 'EXEC.CACHE_MODE') ORDER BY name");
+  ASSERT_EQ(changed.size(), 3u);
+  EXPECT_EQ(changed[0], Row({Value::String("BATCH_SIZE"), Value::String("7"),
+                             Value::Int(1)}));
+  EXPECT_EQ(changed[1],
+            Row({Value::String("EXEC.CACHE_MODE"),
+                 Value::String("LAST_VALUE"), Value::Int(1)}));
+  EXPECT_EQ(changed[2], Row({Value::String("PLAN_CACHE_SIZE"),
+                             Value::String("5"), Value::Int(0)}));
+
+  // Each plan-cache entry names the plan-affecting settings it was
+  // compiled under; settings that do not affect plans are absent.
+  ASSERT_TRUE(Exec("SELECT a FROM t WHERE a < 2"));
+  std::vector<Row> entry = MustQuery(
+      "SELECT settings FROM sys.plan_cache "
+      "WHERE sql = 'SELECT A FROM T WHERE A < 2'");
+  ASSERT_EQ(entry.size(), 1u);
+  const std::string& compiled_under = entry[0][0].string_value();
+  EXPECT_NE(compiled_under.find("BATCH_SIZE=7 "), std::string::npos);
+  EXPECT_NE(compiled_under.find("EXEC.CACHE_MODE=LAST_VALUE"),
+            std::string::npos);
+  EXPECT_EQ(compiled_under.find("PLAN_CACHE_SIZE"), std::string::npos);
+  EXPECT_EQ(compiled_under.find("QUERY_MEMORY"), std::string::npos);
 }
 
 TEST_F(SystemTablesTest, SysTablesJoinAndAggregate) {
