@@ -13,7 +13,6 @@
 #include "exec/expr_eval.h"
 #include "exec/parallel/task_scheduler.h"
 #include "parser/parser.h"
-#include "qgm/binder.h"
 #include "qgm/printer.h"
 #include "storage/spill_file.h"
 
@@ -138,6 +137,25 @@ uint64_t LoggedRowCount(const Result<ResultSet>& r) {
 
 /// Fallback query-log label for script statements, whose original text
 /// is not retained per statement.
+/// A DML statement's result label and the verb its error messages use.
+std::pair<const char*, const char*> DmlNames(ast::StatementKind kind) {
+  if (kind == ast::StatementKind::kInsert) return {"INSERT", "insert into"};
+  if (kind == ast::StatementKind::kUpdate) return {"UPDATE", "update"};
+  return {"DELETE", "delete from"};
+}
+
+/// Rows the apply step changes between checks for KILL and the deadline.
+constexpr size_t kApplyCheckRows = 256;
+
+/// Clear error for any DDL/DML aimed at the reserved sys schema.
+Status RejectSystemTarget(const std::string& name, const char* verb) {
+  if (!IsSystemTableName(name)) return Status::OK();
+  return Status::InvalidArgument(std::string("cannot ") + verb + " '" +
+                                 IdentUpper(name) +
+                                 "': sys.* tables are read-only");
+}
+
+
 const char* StatementKindLabel(ast::StatementKind kind) {
   switch (kind) {
     case ast::StatementKind::kSelect: return "<script SELECT>";
@@ -348,8 +366,7 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
                                              const std::string& sql) {
   switch (stmt.kind) {
     case ast::StatementKind::kSelect:
-      return RunSelect(*static_cast<const ast::SelectStatement&>(stmt).query,
-                       cache_key, sql);
+      return RunSelect(stmt, cache_key, sql);
     case ast::StatementKind::kExplain:
       return RunExplain(static_cast<const ast::ExplainStatement&>(stmt));
     case ast::StatementKind::kCreateTable:
@@ -365,11 +382,11 @@ Result<ResultSet> Database::ExecuteStatement(const ast::Statement& stmt,
     case ast::StatementKind::kDropView:
       return RunDropView(static_cast<const ast::DropViewStatement&>(stmt).name);
     case ast::StatementKind::kInsert:
-      return RunInsert(static_cast<const ast::InsertStatement&>(stmt));
     case ast::StatementKind::kDelete:
-      return RunDelete(static_cast<const ast::DeleteStatement&>(stmt));
-    case ast::StatementKind::kUpdate:
-      return RunUpdate(static_cast<const ast::UpdateStatement&>(stmt));
+    case ast::StatementKind::kUpdate: {
+      STARBURST_ASSIGN_OR_RETURN(QueryOutput out, RunQueryPipeline(stmt));
+      return ResultSet::Message(DmlNames(stmt.kind).first, out.affected_rows);
+    }
     case ast::StatementKind::kSet:
       return ChangeSetting(static_cast<const ast::SetStatement&>(stmt));
     case ast::StatementKind::kKill:
@@ -408,15 +425,25 @@ Result<ResultSet> Database::RunKill(const ast::KillStatement& stmt) {
 // ---------------------------------------------------------------------------
 
 Result<Database::QueryOutput> Database::RunQueryPipeline(
-    const ast::Query& query, PipelineCapture* capture) {
+    const ast::Statement& stmt, PipelineCapture* capture) {
+  qgm::Binder::DmlTarget dml;
   STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
-                             CompileSelect(query, capture));
+                             CompileSelect(stmt, capture, &dml));
   if (capture != nullptr && !capture->execute) return QueryOutput{};
-  return ExecuteCompiled(*ps, nullptr);
+  STARBURST_ASSIGN_OR_RETURN(QueryOutput out, ExecuteCompiled(*ps, nullptr));
+  if (dml.table != nullptr) {
+    obs::Span apply_span(&tracer_, "apply", "phase");
+    Timer apply_timer;
+    STARBURST_ASSIGN_OR_RETURN(out.affected_rows,
+                               ApplyChanges(stmt.kind, dml, &out.rows));
+    stmt_state().metrics.execute_us += apply_timer.ElapsedUs();
+  }
+  return out;
 }
 
-Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
-                                                     PipelineCapture* capture) {
+Result<PreparedStatementPtr> Database::CompileSelect(
+    const ast::Statement& stmt, PipelineCapture* capture,
+    qgm::Binder::DmlTarget* dml) {
   const Settings& o = *stmt_state().settings;
   auto ps = std::make_shared<PreparedStatement>();
   statements_.SetPhase(stmt_state().id, "compile");
@@ -424,7 +451,16 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   obs::Span bind_span(&tracer_, "bind", "phase");
   Timer bind_timer;
   qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(ps->graph, binder.BindQuery(query));
+  if (stmt.kind == ast::StatementKind::kSelect) {
+    STARBURST_ASSIGN_OR_RETURN(
+        ps->graph,
+        binder.BindQuery(*static_cast<const ast::SelectStatement&>(stmt).query));
+  } else {
+    STARBURST_RETURN_IF_ERROR(
+        RejectSystemTarget(static_cast<const ast::DmlStatement&>(stmt).table,
+                           DmlNames(stmt.kind).second));
+    STARBURST_ASSIGN_OR_RETURN(ps->graph, binder.BindDml(stmt, dml));
+  }
   // Freshness contract: the compiled plan is valid while none of the
   // objects the binder resolved (transitively, through views) changes.
   for (const std::string& dep : binder.referenced_objects()) {
@@ -437,7 +473,7 @@ Result<PreparedStatementPtr> Database::CompileSelect(const ast::Query& query,
   qgm::Graph* graph = ps->graph.get();
   ps->num_params = graph->num_params;
 
-  if (o.rewrite_enabled) {
+  if (o.rewrite_enabled && (capture == nullptr || !capture->skip_rewrite)) {
     obs::Span rewrite_span(&tracer_, "rewrite", "phase");
     Timer rewrite_timer;
     STARBURST_ASSIGN_OR_RETURN(stmt_state().metrics.rewrite_stats,
@@ -545,10 +581,8 @@ Result<PreparedStatementPtr> Database::CompileSql(const std::string& sql) {
   if (stmt->kind != ast::StatementKind::kSelect) {
     return Status::InvalidArgument("only SELECT statements can be prepared");
   }
-  STARBURST_ASSIGN_OR_RETURN(
-      PreparedStatementPtr ps,
-      CompileSelect(*static_cast<const ast::SelectStatement&>(*stmt).query,
-                    nullptr));
+  STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
+                             CompileSelect(*stmt, nullptr));
   ps->sql = sql;
   return ps;
 }
@@ -668,11 +702,11 @@ Result<Database::QueryOutput> Database::ExecuteCompiled(
   return out;
 }
 
-Result<ResultSet> Database::RunSelect(const ast::Query& query,
+Result<ResultSet> Database::RunSelect(const ast::Statement& stmt,
                                       const std::string& cache_key,
                                       const std::string& sql) {
   STARBURST_ASSIGN_OR_RETURN(PreparedStatementPtr ps,
-                             CompileSelect(query, nullptr));
+                             CompileSelect(stmt, nullptr));
   if (ps->num_params > 0) {
     return Status::InvalidArgument(
         "statement contains ? parameters; prepare it and supply values "
@@ -715,31 +749,16 @@ void AppendLines(const std::string& text, std::vector<Row>* out) {
 
 Result<ResultSet> Database::RunExplain(const ast::ExplainStatement& stmt) {
   if (stmt.analyze || stmt.verbose) return RunExplainReport(stmt);
-  const Settings& o = *stmt_state().settings;
-  qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(std::unique_ptr<qgm::Graph> graph,
-                             binder.BindQuery(*stmt.query));
-  std::string text;
-  if (stmt.what == ast::ExplainStatement::What::kQgm) {
-    if (!stmt.before_rewrite && o.rewrite_enabled) {
-      STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, o.rewrite).status());
-    }
-    text = qgm::PrintGraph(*graph);
-  } else {
-    if (o.rewrite_enabled) {
-      STARBURST_RETURN_IF_ERROR(
-          rule_engine_.Run(graph.get(), &catalog_, o.rewrite).status());
-    }
-    optimizer::Optimizer opt(&catalog_, o.optimizer);
-    for (const optimizer::Star& star : extra_stars_) {
-      STARBURST_RETURN_IF_ERROR(opt.stars().Add(star));
-    }
-    STARBURST_ASSIGN_OR_RETURN(optimizer::PlanPtr plan, opt.Optimize(*graph));
-    text = plan->ToString();
-  }
+  PipelineCapture capture;
+  capture.want_texts = true;
+  capture.execute = false;
+  capture.skip_rewrite = stmt.before_rewrite;
+  STARBURST_RETURN_IF_ERROR(
+      RunQueryPipeline(*stmt.statement, &capture).status());
+  const bool qgm = stmt.what == ast::ExplainStatement::What::kQgm;
   std::vector<Row> rows;
-  rows.push_back(Row({Value::String(std::move(text))}));
+  rows.push_back(
+      Row({Value::String(qgm ? capture.qgm_text : capture.plan_text)}));
   return ResultSet({"plan"}, std::move(rows));
 }
 
@@ -749,7 +768,7 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
   capture.collect_stats = stmt.analyze;
   capture.execute = stmt.analyze;
   STARBURST_ASSIGN_OR_RETURN(QueryOutput out,
-                             RunQueryPipeline(*stmt.query, &capture));
+                             RunQueryPipeline(*stmt.statement, &capture));
 
   std::vector<Row> rows;
   auto line = [&rows](const std::string& s) {
@@ -790,7 +809,12 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
 
   if (stmt.analyze) {
     line("== Execution ==");
-    std::snprintf(buf, sizeof(buf), "result rows: %zu", out.rows.size());
+    if (stmt.statement->kind == ast::StatementKind::kSelect) {
+      std::snprintf(buf, sizeof(buf), "result rows: %zu", out.rows.size());
+    } else {
+      std::snprintf(buf, sizeof(buf), "rows changed: %lld",
+                    static_cast<long long>(out.affected_rows));
+    }
     line(buf);
     std::snprintf(buf, sizeof(buf),
                   "phases (us): parse=%.0f bind=%.0f rewrite=%.0f "
@@ -1007,77 +1031,8 @@ Result<ResultSet> Database::RunDropView(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// DML
+// DML: the query half ran through the pipeline; this is the apply step.
 // ---------------------------------------------------------------------------
-
-Result<Database::UpdatableView> Database::ResolveUpdatableView(
-    const ViewDef& view) const {
-  auto ambiguous = [&](const std::string& why) {
-    return Status::SemanticError("view '" + view.name +
-                                 "' is not unambiguously updatable: " + why);
-  };
-  auto parsed = Parser::ParseQueryText(view.body_sql);
-  if (!parsed.ok()) return parsed.status();
-  const ast::Query& q = **parsed;
-  if (!q.ctes.empty()) return ambiguous("it uses table expressions");
-  if (q.body->kind != ast::QueryBody::Kind::kSelect) {
-    return ambiguous("it uses set operations");
-  }
-  const ast::SelectCore& core = *q.body->select;
-  if (core.distinct) return ambiguous("it eliminates duplicates");
-  if (!core.group_by.empty() || core.having != nullptr) {
-    return ambiguous("it performs aggregation");
-  }
-  if (core.from.size() != 1 ||
-      core.from[0]->kind != ast::TableRef::Kind::kNamed) {
-    return ambiguous("it ranges over more than one table");
-  }
-  if (catalog_.HasView(core.from[0]->name)) {
-    return ambiguous("it is defined over another view");
-  }
-  STARBURST_ASSIGN_OR_RETURN(const TableDef* table,
-                             catalog_.GetTable(core.from[0]->name));
-
-  UpdatableView out;
-  out.table = table;
-  out.pseudo.name = view.name;
-  size_t position = 0;
-  for (const ast::SelectItem& item : core.items) {
-    if (item.star) {
-      for (size_t c = 0; c < table->schema.num_columns(); ++c) {
-        out.column_map.push_back(c);
-        ColumnDef col = table->schema.column(c);
-        if (position < view.column_names.size()) {
-          col.name = view.column_names[position];
-        }
-        out.pseudo.schema.AddColumn(std::move(col));
-        ++position;
-      }
-      continue;
-    }
-    if (item.expr->kind != ast::ExprKind::kColumnRef) {
-      return ambiguous("output column " + std::to_string(position + 1) +
-                       " is a computed expression");
-    }
-    const auto& cr = static_cast<const ast::ColumnRefExpr&>(*item.expr);
-    std::optional<size_t> base = table->schema.FindColumn(cr.column);
-    if (!base.has_value()) {
-      return ambiguous("column '" + cr.column + "' is not a base column");
-    }
-    out.column_map.push_back(*base);
-    ColumnDef col = table->schema.column(*base);
-    if (position < view.column_names.size()) {
-      col.name = view.column_names[position];
-    } else if (!item.alias.empty()) {
-      col.name = item.alias;
-    }
-    out.pseudo.schema.AddColumn(std::move(col));
-    ++position;
-  }
-  out.where = core.where.get();
-  out.parsed = std::move(*parsed);  // keeps `where` alive
-  return out;
-}
 
 Result<Value> Database::CoerceForColumn(Value v, const ColumnDef& col) const {
   if (v.is_null()) {
@@ -1101,30 +1056,6 @@ Result<Value> Database::CoerceForColumn(Value v, const ColumnDef& col) const {
                            col.type.ToString());
 }
 
-Status Database::InsertRows(const TableDef& table,
-                            const std::vector<Row>& rows,
-                            const std::vector<size_t>& target_columns) {
-  for (const Row& row : rows) {
-    if (row.size() != target_columns.size()) {
-      return Status::SemanticError("INSERT arity mismatch: expected " +
-                                   std::to_string(target_columns.size()) +
-                                   " values, got " + std::to_string(row.size()));
-    }
-    std::vector<Value> full(table.schema.num_columns(), Value::Null());
-    for (size_t i = 0; i < target_columns.size(); ++i) {
-      full[target_columns[i]] = row[i];
-    }
-    for (size_t c = 0; c < full.size(); ++c) {
-      STARBURST_ASSIGN_OR_RETURN(
-          full[c], CoerceForColumn(std::move(full[c]), table.schema.column(c)));
-    }
-    STARBURST_RETURN_IF_ERROR(
-        storage_.InsertRow(table.name, Row(std::move(full))).status());
-  }
-  RefreshRowStats(table.name);
-  return Status::OK();
-}
-
 void Database::RefreshRowStats(const std::string& table_name) {
   Result<TableDef*> def = catalog_.GetMutableTable(table_name);
   Result<TableStorage*> storage = storage_.GetTable(table_name);
@@ -1133,216 +1064,76 @@ void Database::RefreshRowStats(const std::string& table_name) {
   (*def)->stats.page_count = static_cast<double>((*storage)->page_count());
 }
 
-Result<const TableDef*> Database::ResolveDmlTarget(
-    const std::string& name, const char* verb,
-    std::unique_ptr<UpdatableView>* view) const {
-  STARBURST_RETURN_IF_ERROR(RejectSystemTarget(name, verb));
-  if (!catalog_.HasView(name)) return catalog_.GetTable(name);
-  STARBURST_ASSIGN_OR_RETURN(const ViewDef* vd, catalog_.GetView(name));
-  STARBURST_ASSIGN_OR_RETURN(UpdatableView uv, ResolveUpdatableView(*vd));
-  *view = std::make_unique<UpdatableView>(std::move(uv));
-  return (*view)->table;
-}
-
-Result<ResultSet> Database::RunInsert(const ast::InsertStatement& stmt) {
-  std::unique_ptr<UpdatableView> view;
-  STARBURST_ASSIGN_OR_RETURN(
-      const TableDef* table,
-      ResolveDmlTarget(stmt.table, "insert into", &view));
-  const TableSchema& exposed = view ? view->pseudo.schema : table->schema;
-  std::vector<size_t> targets;
-  if (stmt.columns.empty()) {
-    for (size_t i = 0; i < exposed.num_columns(); ++i) {
-      targets.push_back(i);
-    }
-  } else {
-    for (const std::string& name : stmt.columns) {
-      std::optional<size_t> idx = exposed.FindColumn(name);
-      if (!idx.has_value()) {
-        return Status::SemanticError("no column '" + name + "' in " +
-                                     stmt.table);
+Result<int64_t> Database::ApplyChanges(ast::StatementKind kind,
+                                       const qgm::Binder::DmlTarget& target,
+                                       std::vector<Row>* rows) {
+  const TableDef& table = *target.table;
+  const std::string& name = table.name;
+  STARBURST_ASSIGN_OR_RETURN(TableStorage * heap, storage_.GetTable(name));
+  // UPDATE and DELETE rows lead with a rid: apply them in rid order, the
+  // same order whichever plan (index, parallel, rewritten) found them.
+  if (kind != ast::StatementKind::kInsert) {
+    std::sort(rows->begin(), rows->end(), [](const Row& a, const Row& b) {
+      return a[0].int_value() < b[0].int_value();
+    });
+  }
+  // Statement atomicity: every change is logged with what undoes it. An
+  // insert by its rid, a delete by the old row, an update by its new rid
+  // and the old row.
+  std::vector<std::pair<Rid, Row>> undo;
+  undo.reserve(rows->size());
+  auto apply = [&](Row& change) -> Status {
+    if (kind == ast::StatementKind::kInsert) {
+      std::vector<Value> full(table.schema.num_columns(), Value::Null());
+      for (size_t c = 0; c < target.columns.size(); ++c) {
+        full[target.columns[c]] = std::move(change[c]);
       }
-      targets.push_back(*idx);
-    }
-  }
-  if (view != nullptr) {
-    for (size_t& t : targets) t = view->column_map[t];
-  }
-
-  std::vector<Row> rows;
-  if (stmt.query != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(QueryOutput out, RunQueryPipeline(*stmt.query));
-    rows = std::move(out.rows);
-  } else {
-    // VALUES rows: constant expressions (no column references, no
-    // subqueries), bound for type checking then evaluated directly.
-    exec::ExecContext ctx(&storage_, &catalog_);
-    qgm::Binder binder(&catalog_);
-    for (const auto& value_row : stmt.rows) {
-      std::vector<Value> values;
-      for (const ast::ExprPtr& e : value_row) {
-        STARBURST_ASSIGN_OR_RETURN(qgm::Binder::StandaloneExprBind bind,
-                                   binder.BindConstantExpr(*e));
-        exec::CompileEnv env;
-        env.catalog = &catalog_;
-        STARBURST_ASSIGN_OR_RETURN(exec::CompiledExprPtr compiled,
-                                   exec::CompileExpr(*bind.expr, env));
-        Row empty_row;
-        STARBURST_ASSIGN_OR_RETURN(Value v, compiled->Eval(empty_row, &ctx));
-        values.push_back(std::move(v));
-      }
-      rows.push_back(Row(std::move(values)));
-    }
-  }
-  STARBURST_RETURN_IF_ERROR(InsertRows(*table, rows, targets));
-  return ResultSet::Message("INSERT", static_cast<int64_t>(rows.size()));
-}
-
-namespace {
-
-Row ProjectViewRow(const Row& base_row, const std::vector<size_t>& map) {
-  std::vector<Value> values;
-  values.reserve(map.size());
-  for (size_t c : map) values.push_back(base_row[c]);
-  return Row(std::move(values));
-}
-
-/// Rows per block of a DELETE / UPDATE scan, and so between its checks
-/// for KILL and the statement deadline.
-constexpr size_t kDmlScanBlockRows = 256;
-
-}  // namespace
-
-Result<ResultSet> Database::RunDelete(const ast::DeleteStatement& stmt) {
-  return RunMutation(stmt.table, stmt.where.get(), nullptr);
-}
-
-Result<ResultSet> Database::RunUpdate(const ast::UpdateStatement& stmt) {
-  std::vector<std::pair<std::string, const ast::Expr*>> assignments;
-  for (const auto& [name, expr] : stmt.assignments) {
-    assignments.emplace_back(name, expr.get());
-  }
-  return RunMutation(stmt.table, stmt.where.get(), &assignments);
-}
-
-Result<ResultSet> Database::RunMutation(
-    const std::string& target, const ast::Expr* where,
-    const std::vector<std::pair<std::string, const ast::Expr*>>* assignments) {
-  const bool update = assignments != nullptr;
-  std::unique_ptr<UpdatableView> view;
-  STARBURST_ASSIGN_OR_RETURN(
-      const TableDef* table,
-      ResolveDmlTarget(target, update ? "update" : "delete from", &view));
-  const TableDef& bind_target = view ? view->pseudo : *table;
-
-  qgm::Binder binder(&catalog_);
-  STARBURST_ASSIGN_OR_RETURN(
-      qgm::Binder::TableMutationBind bind,
-      binder.BindTableMutation(bind_target, where, assignments));
-
-  // Plan every box (subqueries in the WHERE clause become runtimes).
-  optimizer::Optimizer opt(&catalog_, stmt_state().settings->optimizer);
-  STARBURST_RETURN_IF_ERROR(opt.Optimize(*bind.graph).status());
-  exec::PlanRefiner refiner(&catalog_, &opt.box_plans(),
-                            exec::PlanRefiner::Options{});
-
-  std::vector<optimizer::ColumnBinding> layout;
-  for (size_t i = 0; i < bind_target.schema.num_columns(); ++i) {
-    layout.push_back(optimizer::ColumnBinding{bind.quantifier, nullptr, i});
-  }
-  exec::CompiledExprPtr predicate;
-  if (bind.predicate != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(predicate,
-                               refiner.Compile(*bind.predicate, layout, nullptr));
-  }
-  std::vector<std::pair<size_t, exec::CompiledExprPtr>> compiled_assignments;
-  for (const auto& [col, expr] : bind.assignments) {
-    STARBURST_ASSIGN_OR_RETURN(exec::CompiledExprPtr c,
-                               refiner.Compile(*expr, layout, nullptr));
-    // For a view target, map the exposed column onto its base column.
-    size_t base_col = view ? view->column_map[col] : col;
-    compiled_assignments.emplace_back(base_col, std::move(c));
-  }
-
-  // A view target contributes its own WHERE, bound against the base table.
-  qgm::Binder view_binder(&catalog_);
-  std::unique_ptr<qgm::Binder::TableMutationBind> view_bind;
-  std::unique_ptr<optimizer::Optimizer> view_opt;
-  std::unique_ptr<exec::PlanRefiner> view_refiner;
-  exec::CompiledExprPtr view_predicate;
-  if (view != nullptr && view->where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(
-        qgm::Binder::TableMutationBind vb,
-        view_binder.BindTableMutation(*table, view->where, nullptr));
-    view_bind = std::make_unique<qgm::Binder::TableMutationBind>(std::move(vb));
-    view_opt = std::make_unique<optimizer::Optimizer>(
-        &catalog_, stmt_state().settings->optimizer);
-    STARBURST_RETURN_IF_ERROR(view_opt->Optimize(*view_bind->graph).status());
-    view_refiner = std::make_unique<exec::PlanRefiner>(
-        &catalog_, &view_opt->box_plans(), exec::PlanRefiner::Options{});
-    std::vector<optimizer::ColumnBinding> base_layout;
-    for (size_t i = 0; i < table->schema.num_columns(); ++i) {
-      base_layout.push_back(
-          optimizer::ColumnBinding{view_bind->quantifier, nullptr, i});
-    }
-    STARBURST_ASSIGN_OR_RETURN(
-        view_predicate,
-        view_refiner->Compile(*view_bind->predicate, base_layout, nullptr));
-  }
-
-  // Scan phase: collect the changes a block at a time, checking for KILL
-  // and the deadline before each block. No row changes until the scan is
-  // done, so a cancelled statement leaves the table as it was.
-  STARBURST_ASSIGN_OR_RETURN(TableStorage * storage,
-                             storage_.GetTable(table->name));
-  exec::ExecContext ctx(&storage_, &catalog_);
-  ctx.set_cancel_token(&stmt_state().cancel);
-  std::vector<std::pair<Rid, Row>> changes;  // new rows stay empty on DELETE
-  std::unique_ptr<TableScanIterator> scan = storage->NewScan();
-  std::vector<Row> block(kDmlScanBlockRows);
-  std::vector<Rid> rids(kDmlScanBlockRows);
-  Row projected;
-  while (true) {
-    STARBURST_RETURN_IF_ERROR(ctx.CheckCancel());
-    STARBURST_ASSIGN_OR_RETURN(
-        size_t n, scan->NextBlock(block.data(), rids.data(), block.size()));
-    if (n == 0) break;
-    for (size_t i = 0; i < n; ++i) {
-      const Row& row = block[i];
-      if (view_predicate != nullptr) {
-        STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                   view_predicate->EvalPredicate(row, &ctx));
-        if (!pass) continue;  // row not visible through the view
-      }
-      const Row* visible = &row;
-      if (view != nullptr) {
-        projected = ProjectViewRow(row, view->column_map);
-        visible = &projected;
-      }
-      if (predicate != nullptr) {
-        STARBURST_ASSIGN_OR_RETURN(bool pass,
-                                   predicate->EvalPredicate(*visible, &ctx));
-        if (!pass) continue;
-      }
-      Row updated;
-      if (update) updated = row;
-      for (const auto& [base_col, expr] : compiled_assignments) {
-        STARBURST_ASSIGN_OR_RETURN(Value v, expr->Eval(*visible, &ctx));
+      for (size_t c = 0; c < full.size(); ++c) {
         STARBURST_ASSIGN_OR_RETURN(
-            updated[base_col],
-            CoerceForColumn(std::move(v), table->schema.column(base_col)));
+            full[c], CoerceForColumn(std::move(full[c]), table.schema.column(c)));
       }
-      changes.emplace_back(rids[i], std::move(updated));
+      STARBURST_ASSIGN_OR_RETURN(Rid rid,
+                                 storage_.InsertRow(name, Row(std::move(full))));
+      undo.emplace_back(rid, Row());
+      return Status::OK();
+    }
+    Rid rid = Rid::FromInt(change[0].int_value());
+    if (kind == ast::StatementKind::kDelete) {
+      STARBURST_ASSIGN_OR_RETURN(Row old_row, storage_.DeleteRow(name, rid));
+      undo.emplace_back(rid, std::move(old_row));
+      return Status::OK();
+    }
+    STARBURST_ASSIGN_OR_RETURN(Row updated, heap->Fetch(rid));
+    Row old_row = updated;
+    for (size_t c = 0; c < target.columns.size(); ++c) {
+      const ColumnDef& col = table.schema.column(target.columns[c]);
+      STARBURST_ASSIGN_OR_RETURN(updated[target.columns[c]],
+                                 CoerceForColumn(std::move(change[c + 1]), col));
+    }
+    STARBURST_ASSIGN_OR_RETURN(Rid moved, storage_.UpdateRow(name, rid, updated));
+    undo.emplace_back(moved, std::move(old_row));
+    return Status::OK();
+  };
+  CancelToken& cancel = stmt_state().cancel;
+  Status st;
+  for (size_t i = 0; st.ok() && i < rows->size(); ++i) {
+    if (i % kApplyCheckRows == 0) st = cancel.Check();
+    if (st.ok()) st = apply((*rows)[i]);
+  }
+  // A deadline that passed while the last rows went in fails it too.
+  if (st.ok()) st = cancel.Check();
+  for (auto it = undo.rbegin(); !st.ok() && it != undo.rend(); ++it) {
+    if (kind == ast::StatementKind::kInsert) {
+      (void)storage_.DeleteRow(name, it->first);
+    } else if (kind == ast::StatementKind::kDelete) {
+      (void)storage_.InsertRow(name, it->second);
+    } else {
+      (void)storage_.UpdateRow(name, it->first, it->second);
     }
   }
-  for (auto& [rid, new_row] : changes) {
-    STARBURST_RETURN_IF_ERROR(
-        update ? storage_.UpdateRow(table->name, rid, new_row).status()
-               : storage_.DeleteRow(table->name, rid));
-  }
-  RefreshRowStats(table->name);
-  return ResultSet::Message(update ? "UPDATE" : "DELETE",
-                            static_cast<int64_t>(changes.size()));
+  RefreshRowStats(name);
+  if (!st.ok()) return st;
+  return static_cast<int64_t>(rows->size());
 }
 
 // ---------------------------------------------------------------------------
@@ -1670,14 +1461,6 @@ std::vector<Row> Database::SettingsRows() {
          Value::Int(s.affects_plan ? 1 : 0)}));
   }
   return rows;
-}
-
-Status Database::RejectSystemTarget(const std::string& name,
-                                    const char* verb) const {
-  if (!IsSystemTableName(name)) return Status::OK();
-  return Status::InvalidArgument(std::string("cannot ") + verb + " '" +
-                                 IdentUpper(name) +
-                                 "': sys.* tables are read-only");
 }
 
 }  // namespace starburst

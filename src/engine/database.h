@@ -21,6 +21,7 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
+#include "qgm/binder.h"
 #include "rewrite/rule_engine.h"
 #include "storage/storage_engine.h"
 #include "storage/system_storage.h"
@@ -215,8 +216,6 @@ class Database {
   std::vector<Row> PlanCacheRows() const;
   std::vector<Row> StatementRows() const;
   std::vector<Row> SettingsRows();
-  /// Clear error for any DDL/DML aimed at the reserved sys schema.
-  Status RejectSystemTarget(const std::string& name, const char* verb) const;
 
   /// `cache_key` is non-empty only for single statements arriving through
   /// Execute with caching enabled; a compiled SELECT is inserted under it,
@@ -224,7 +223,7 @@ class Database {
   Result<ResultSet> ExecuteStatement(const ast::Statement& stmt,
                                      const std::string& cache_key = {},
                                      const std::string& sql = {});
-  Result<ResultSet> RunSelect(const ast::Query& query,
+  Result<ResultSet> RunSelect(const ast::Statement& stmt,
                               const std::string& cache_key,
                               const std::string& sql);
   Result<ResultSet> RunDropTable(const std::string& name);
@@ -241,19 +240,12 @@ class Database {
   /// to the component that owns it) and swaps the copy in.
   Result<ResultSet> ChangeSetting(const ast::SetStatement& stmt);
   Result<ResultSet> RunKill(const ast::KillStatement& stmt);
-  Result<ResultSet> RunInsert(const ast::InsertStatement& stmt);
-  Result<ResultSet> RunDelete(const ast::DeleteStatement& stmt);
-  Result<ResultSet> RunUpdate(const ast::UpdateStatement& stmt);
-  /// DELETE (no `assignments`) or UPDATE of a table or updatable view.
-  Result<ResultSet> RunMutation(
-      const std::string& target, const ast::Expr* where,
-      const std::vector<std::pair<std::string, const ast::Expr*>>*
-          assignments);
 
-  /// The full compile+execute pipeline for a bound query.
+  /// The full compile+execute pipeline for a SELECT or a DML statement.
   struct QueryOutput {
     std::vector<std::string> column_names;
     std::vector<Row> rows;
+    int64_t affected_rows = 0;  // DML only
   };
   /// Extra hooks EXPLAIN [ANALYZE|VERBOSE] threads through the pipeline:
   /// capture the intermediate texts, force stats collection, and
@@ -262,15 +254,20 @@ class Database {
     bool want_texts = false;
     bool collect_stats = false;
     bool execute = true;
-    std::string qgm_text;   // QGM after rewrite
+    bool skip_rewrite = false;  // EXPLAIN QGM BEFORE
+    std::string qgm_text;   // QGM after rewrite (unless skipped)
     std::string plan_text;  // chosen plan with estimates
   };
-  Result<QueryOutput> RunQueryPipeline(const ast::Query& query,
+  /// Compiles and runs `stmt`; a DML statement's query yields the rows to
+  /// change, which ApplyChanges then applies.
+  Result<QueryOutput> RunQueryPipeline(const ast::Statement& stmt,
                                        PipelineCapture* capture = nullptr);
   /// Figure 1's compile half (bind → rewrite → optimize → refine) into a
-  /// re-executable artifact, filling the compile-phase metrics.
-  Result<PreparedStatementPtr> CompileSelect(const ast::Query& query,
-                                             PipelineCapture* capture);
+  /// re-executable artifact, filling the compile-phase metrics. DML needs
+  /// `dml`.
+  Result<PreparedStatementPtr> CompileSelect(
+      const ast::Statement& stmt, PipelineCapture* capture,
+      qgm::Binder::DmlTarget* dml = nullptr);
   /// Parses `sql`, which must be a SELECT, and compiles it.
   Result<PreparedStatementPtr> CompileSql(const std::string& sql);
   /// Figure 1's run half: re-opens the compiled operator tree under a
@@ -293,33 +290,15 @@ class Database {
   /// `dep_key` ("T:NAME" / "V:NAME"), excluding `dep_key` itself.
   std::vector<std::string> ViewsReferencing(const std::string& dep_key) const;
 
-  /// §2: "Update through views will be allowed when the update is
-  /// unambiguous; otherwise an error will be returned." A view is
-  /// updatable iff it is a plain SELECT of base-table columns from one
-  /// base table (no DISTINCT, grouping, set ops, joins, or expressions).
-  struct UpdatableView {
-    const TableDef* table = nullptr;
-    /// view column position -> base column position
-    std::vector<size_t> column_map;
-    /// A pseudo table definition exposing the view's columns (their view
-    /// names, base types); WHERE/SET clauses bind against this.
-    TableDef pseudo;
-    /// the view's own WHERE clause (owned by `parsed`), AND-ed into DML
-    std::unique_ptr<ast::Query> parsed;
-    const ast::Expr* where = nullptr;
-  };
-  Result<UpdatableView> ResolveUpdatableView(const ViewDef& view) const;
-  /// The base table a DML statement writes; `*view` is set when `name`
-  /// is an updatable view over it.
-  Result<const TableDef*> ResolveDmlTarget(
-      const std::string& name, const char* verb,
-      std::unique_ptr<UpdatableView>* view) const;
-
   /// Coerces `v` to a column type (numeric widening only) and checks
   /// nullability.
   Result<Value> CoerceForColumn(Value v, const ColumnDef& col) const;
-  Status InsertRows(const TableDef& table, const std::vector<Row>& rows,
-                    const std::vector<size_t>& target_columns);
+  /// The apply step of DML: changes `target` by the rows its query
+  /// drained, all or nothing (a failure undoes the rows already changed).
+  /// Returns the number of rows changed.
+  Result<int64_t> ApplyChanges(ast::StatementKind kind,
+                               const qgm::Binder::DmlTarget& target,
+                               std::vector<Row>* rows);
   void RefreshRowStats(const std::string& table_name);
 
   Catalog catalog_;

@@ -20,6 +20,23 @@ class SharedHashTable;
 // lazy stream; §7's "details of obtaining a tuple from and handing a tuple
 // to another operator" live behind the Operator interface.
 
+/// Projects a stored row onto a TableAccess operator's `columns`. Column
+/// `full.size()`, one past the schema, is the hidden rid column of a DML
+/// target (qgm::Box::rid_column): it is filled from the row's `rid`.
+inline void ProjectStoredRow(const Row& full, Rid rid,
+                             const std::vector<size_t>& columns,
+                             std::vector<Value>* out) {
+  out->clear();
+  out->reserve(columns.size());
+  for (size_t c : columns) {
+    if (c < full.size()) {
+      out->push_back(full[c]);
+    } else {
+      out->push_back(Value::Int(rid.ToInt()));
+    }
+  }
+}
+
 OperatorPtr MakeScanOp(const TableDef* table, std::vector<size_t> columns,
                        std::vector<CompiledExprPtr> predicates,
                        const KernelOptions& kernels = {});
@@ -42,7 +59,17 @@ OperatorPtr MakeIndexScanOp(const TableDef* table, const IndexDef* index,
                             std::vector<size_t> columns,
                             std::vector<CompiledExprPtr> predicates);
 
-OperatorPtr MakeValuesOp(std::vector<Row> rows);
+/// A VALUES cell that is not a literal: evaluated (over no input) each
+/// time its row is emitted, into `rows[row][column]`.
+struct ValuesCell {
+  size_t row = 0;
+  size_t column = 0;
+  CompiledExprPtr expr;
+};
+/// Emits `rows` in order; `cells`, sorted by row, fill their non-literal
+/// positions.
+OperatorPtr MakeValuesOp(std::vector<Row> rows,
+                         std::vector<ValuesCell> cells = {});
 
 OperatorPtr MakeFilterOp(OperatorPtr input,
                          std::vector<CompiledExprPtr> predicates,

@@ -325,13 +325,27 @@ Result<OperatorPtr> PlanRefiner::BuildOp(const Plan& plan) {
     }
 
     case Lolepop::kValues: {
-      std::vector<Row> rows;
-      if (plan.box != nullptr && plan.box->kind == qgm::BoxKind::kValues) {
-        for (const auto& r : plan.box->rows) rows.push_back(Row(r));
-      } else {
-        rows.push_back(Row());  // SELECT with no FROM: one empty tuple
+      if (plan.box == nullptr || plan.box->kind != qgm::BoxKind::kValues) {
+        return MakeValuesOp({Row()});  // SELECT with no FROM: one empty tuple
       }
-      return MakeValuesOp(std::move(rows));
+      // Literal cells are copied out once; the rest compile over no input.
+      static const std::vector<ColumnBinding> kNoInput;
+      std::vector<Row> rows;
+      std::vector<ValuesCell> cells;
+      for (const std::vector<qgm::ExprPtr>& exprs : plan.box->rows) {
+        std::vector<Value> values(exprs.size());
+        for (size_t c = 0; c < exprs.size(); ++c) {
+          if (exprs[c]->kind == Expr::Kind::kLiteral) {
+            values[c] = exprs[c]->literal;
+            continue;
+          }
+          STARBURST_ASSIGN_OR_RETURN(CompiledExprPtr e,
+                                     Compile(*exprs[c], kNoInput, nullptr));
+          cells.push_back(ValuesCell{rows.size(), c, std::move(e)});
+        }
+        rows.push_back(Row(std::move(values)));
+      }
+      return MakeValuesOp(std::move(rows), std::move(cells));
     }
 
     case Lolepop::kFilter: {

@@ -27,9 +27,11 @@ class ScanOp : public Operator {
       }
     }
     // Whole-row identity projection: batched refills may then decode pages
-    // straight into the batch's slots with no staging block at all.
-    direct_fill_ = identity_prefix_ &&
-                   columns_.size() == table_->schema.num_columns();
+    // straight into the batch's slots with no staging block at all, and
+    // append the rid when the hidden rid column follows the row.
+    const size_t width = table_->schema.num_columns();
+    append_rid_ = identity_prefix_ && columns_.size() == width + 1;
+    direct_fill_ = identity_prefix_ && (columns_.size() == width || append_rid_);
     // The scan knows its slots' declared types (the projected schema) —
     // the evidence the kernel compiler needs to prove comparisons
     // infallible and license selectivity reordering.
@@ -37,7 +39,8 @@ class ScanOp : public Operator {
       std::vector<TypeId> slot_types;
       slot_types.reserve(columns_.size());
       for (size_t c : columns_) {
-        slot_types.push_back(table_->schema.column(c).type.id);
+        slot_types.push_back(c < width ? table_->schema.column(c).type.id
+                                       : TypeId::kInt);
       }
       program_ = PredicateProgram::Compile(predicates_, slot_types, kernels);
     }
@@ -77,7 +80,8 @@ class ScanOp : public Operator {
       // Predicates run against the *projected* row (slots follow
       // scan_columns), per §2: functions are invoked "at low levels of
       // the system" — here, inside the scan's predicate evaluator.
-      Row projected = Project(full);
+      Row projected;
+      ProjectStoredRow(full, rid, columns_, &projected.values());
       for (const CompiledExprPtr& p : predicates_) {
         STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
         if (!ok) {
@@ -129,14 +133,15 @@ class ScanOp : public Operator {
             break;
           }
         }
-        Row& full = block_[block_pos_++];
+        Row& full = block_[block_pos_];
+        Rid rid = block_rids_[block_pos_++];
         Row* slot = batch->AppendSlot();
         if (identity_prefix_ && full.size() == columns_.size()) {
           // Whole-row projection: trade buffers with the block row so both
           // sides keep reusable storage (no copies, no allocation).
           slot->values().swap(full.values());
         } else {
-          ProjectInto(full, slot);
+          ProjectStoredRow(full, rid, columns_, &slot->values());
         }
       }
       STARBURST_RETURN_IF_ERROR(ApplyPredicates(batch));
@@ -192,10 +197,10 @@ class ScanOp : public Operator {
           }
           scan_ = storage_->NewRangeScan(begin, end);
         }
+        Row* slots = batch->raw_slots() + batch->physical_size();
         STARBURST_ASSIGN_OR_RETURN(
             size_t got,
-            scan_->NextBlock(batch->raw_slots() + batch->physical_size(),
-                             block_rids_.data(), batch->remaining()));
+            scan_->NextBlock(slots, block_rids_.data(), batch->remaining()));
         if (got == 0) {
           if (morsels_ != nullptr) {
             scan_.reset();  // morsel drained; claim the next one
@@ -203,6 +208,11 @@ class ScanOp : public Operator {
           }
           exhausted = true;
           break;
+        }
+        if (append_rid_) {
+          for (size_t i = 0; i < got; ++i) {
+            slots[i].values().push_back(Value::Int(block_rids_[i].ToInt()));
+          }
         }
         batch->AdvanceFilled(got);
       }
@@ -214,21 +224,6 @@ class ScanOp : public Operator {
       if (exhausted) return false;
       batch->Clear();  // every staged row was rejected; refill
     }
-  }
-
-  Row Project(const Row& full) const {
-    std::vector<Value> values;
-    values.reserve(columns_.size());
-    for (size_t c : columns_) values.push_back(full[c]);
-    return Row(std::move(values));
-  }
-
-  /// Projection into a batch slot, reusing the slot's Value storage.
-  void ProjectInto(const Row& full, Row* out) const {
-    std::vector<Value>& v = out->values();
-    v.clear();
-    v.reserve(columns_.size());
-    for (size_t c : columns_) v.push_back(full[c]);
   }
 
   /// Upper bound on the refill block so a huge SET batch_size cannot
@@ -245,6 +240,8 @@ class ScanOp : public Operator {
   /// True when the projection is the whole row: batched refills decode
   /// pages directly into batch slots (see FillBatchDirect).
   bool direct_fill_ = false;
+  /// True when the whole row is followed by the hidden rid column.
+  bool append_rid_ = false;
   ExecContext* ctx_ = nullptr;
   TableStorage* storage_ = nullptr;
   std::unique_ptr<TableScanIterator> scan_;
@@ -327,10 +324,8 @@ class IndexScanOp : public Operator {
       // unbounded (order-providing) scan must keep them.
       if (bound_ != nullptr && !key.empty() && key[0].is_null()) continue;
       STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(rid));
-      std::vector<Value> values;
-      values.reserve(columns_.size());
-      for (size_t c : columns_) values.push_back(full[c]);
-      Row projected(std::move(values));
+      Row projected;
+      ProjectStoredRow(full, rid, columns_, &projected.values());
       bool pass = true;
       for (const CompiledExprPtr& p : predicates_) {
         STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
@@ -364,30 +359,34 @@ class IndexScanOp : public Operator {
 
 class ValuesOp : public Operator {
  public:
-  explicit ValuesOp(std::vector<Row> rows) : rows_(std::move(rows)) {}
+  ValuesOp(std::vector<Row> rows, std::vector<ValuesCell> cells)
+      : rows_(std::move(rows)), cells_(std::move(cells)) {}
 
   Status OpenImpl(ExecContext* ctx) override {
     ctx_ = ctx;
     pos_ = 0;
+    cell_ = 0;
     return Status::OK();
   }
   Result<bool> NextImpl(Row* row) override {
     if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
+    *row = rows_[pos_];
+    static const Row kNoInput;
+    for (; cell_ < cells_.size() && cells_[cell_].row == pos_; ++cell_) {
+      STARBURST_ASSIGN_OR_RETURN(row->values()[cells_[cell_].column],
+                                 cells_[cell_].expr->Eval(kNoInput, ctx_));
+    }
+    ++pos_;
     ++ctx_->stats().rows_emitted;
     return true;
-  }
-  Result<bool> NextBatchImpl(RowBatch* batch) override {
-    size_t before = pos_;
-    bool any = FillBatchFromRows(rows_, &pos_, batch);
-    ctx_->stats().rows_emitted += pos_ - before;
-    return any;
   }
   void CloseImpl() override {}
 
  private:
   std::vector<Row> rows_;
+  std::vector<ValuesCell> cells_;
   size_t pos_ = 0;
+  size_t cell_ = 0;
   ExecContext* ctx_ = nullptr;
 };
 
@@ -446,8 +445,9 @@ OperatorPtr MakeIndexScanOp(const TableDef* table, const IndexDef* index,
                                        std::move(predicates));
 }
 
-OperatorPtr MakeValuesOp(std::vector<Row> rows) {
-  return std::make_unique<ValuesOp>(std::move(rows));
+OperatorPtr MakeValuesOp(std::vector<Row> rows,
+                         std::vector<ValuesCell> cells) {
+  return std::make_unique<ValuesOp>(std::move(rows), std::move(cells));
 }
 
 OperatorPtr MakeIterRefOp(const qgm::Box* recursion_box) {

@@ -256,11 +256,10 @@ class RTreeScanOp : public exec::Operator {
 
   Result<bool> NextImpl(Row* row) override {
     while (pos_ < matches_.size()) {
-      STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(matches_[pos_++]));
-      std::vector<Value> values;
-      values.reserve(columns_.size());
-      for (size_t c : columns_) values.push_back(full[c]);
-      Row projected(std::move(values));
+      Rid rid = matches_[pos_++];
+      STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(rid));
+      Row projected;
+      exec::ProjectStoredRow(full, rid, columns_, &projected.values());
       bool pass = true;
       for (const CompiledExprPtr& p : predicates_) {
         STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));

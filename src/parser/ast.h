@@ -377,24 +377,27 @@ struct DropViewStatement : Statement {
   std::string name;
 };
 
-struct InsertStatement : Statement {
-  InsertStatement() : Statement(StatementKind::kInsert) {}
+/// INSERT, UPDATE and DELETE: the statements that change `table`.
+struct DmlStatement : Statement {
+  using Statement::Statement;
   std::string table;
+};
+
+struct InsertStatement : DmlStatement {
+  InsertStatement() : DmlStatement(StatementKind::kInsert) {}
   std::vector<std::string> columns;       // empty = all, in schema order
   std::vector<std::vector<ExprPtr>> rows; // VALUES rows (literal exprs)
   std::unique_ptr<Query> query;           // INSERT ... SELECT
 };
 
-struct UpdateStatement : Statement {
-  UpdateStatement() : Statement(StatementKind::kUpdate) {}
-  std::string table;
+struct UpdateStatement : DmlStatement {
+  UpdateStatement() : DmlStatement(StatementKind::kUpdate) {}
   std::vector<std::pair<std::string, ExprPtr>> assignments;
   ExprPtr where;  // may be null
 };
 
-struct DeleteStatement : Statement {
-  DeleteStatement() : Statement(StatementKind::kDelete) {}
-  std::string table;
+struct DeleteStatement : DmlStatement {
+  DeleteStatement() : DmlStatement(StatementKind::kDelete) {}
   ExprPtr where;  // may be null
 };
 
@@ -430,10 +433,12 @@ struct KillStatement : Statement {
   int64_t statement_id = 0;
 };
 
-/// EXPLAIN [QGM [BEFORE] | PLAN | [ANALYZE] [VERBOSE]] <select>:
-/// dumps the rewritten QGM or the chosen plan instead of executing.
-/// ANALYZE additionally executes the query and reports actual rows/time
-/// per operator beside the estimates; VERBOSE adds the QGM and the
+/// EXPLAIN [QGM [BEFORE] | PLAN | [ANALYZE] [VERBOSE]] <statement>:
+/// dumps the rewritten QGM or the chosen plan instead of executing. The
+/// statement is a SELECT, INSERT, UPDATE or DELETE (DML explains the
+/// query of the rows it changes). ANALYZE additionally executes the
+/// statement, DML changes included, and reports actual rows/time per
+/// operator beside the estimates; VERBOSE adds the QGM and the
 /// rewrite-rule firing log without executing (ANALYZE implies VERBOSE's
 /// sections plus the actuals).
 struct ExplainStatement : Statement {
@@ -444,7 +449,7 @@ struct ExplainStatement : Statement {
   bool before_rewrite = false;
   bool analyze = false;
   bool verbose = false;
-  std::unique_ptr<Query> query;
+  StatementPtr statement;
 };
 
 }  // namespace starburst::ast

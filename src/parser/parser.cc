@@ -466,8 +466,16 @@ Result<ast::StatementPtr> Parser::ParseExplain() {
     if (MatchKeyword("ANALYZE")) stmt->analyze = true;
     if (MatchKeyword("VERBOSE")) stmt->verbose = true;
   }
-  STARBURST_ASSIGN_OR_RETURN(stmt->query, ParseQuery());
-  return ast::StatementPtr(std::move(stmt));
+  STARBURST_ASSIGN_OR_RETURN(stmt->statement, ParseStatementInner());
+  switch (stmt->statement->kind) {
+    case ast::StatementKind::kSelect:
+    case ast::StatementKind::kInsert:
+    case ast::StatementKind::kUpdate:
+    case ast::StatementKind::kDelete:
+      return ast::StatementPtr(std::move(stmt));
+    default:
+      return ErrorHere("EXPLAIN takes a SELECT, INSERT, UPDATE or DELETE");
+  }
 }
 
 // ---------------------------------------------------------------------------

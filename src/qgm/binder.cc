@@ -1,6 +1,7 @@
 #include "qgm/binder.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "parser/parser.h"
 
@@ -194,81 +195,27 @@ Result<std::unique_ptr<Graph>> Binder::BindQuery(const ast::Query& query) {
   return graph;
 }
 
-Result<Binder::TableMutationBind> Binder::BindTableMutation(
-    const TableDef& table, const ast::Expr* where,
-    const std::vector<std::pair<std::string, const ast::Expr*>>* assignments) {
-  TableMutationBind out;
-  out.graph = std::make_unique<Graph>();
-  graph_ = out.graph.get();
+Result<std::unique_ptr<Graph>> Binder::BindDml(const ast::Statement& stmt,
+                                               DmlTarget* target) {
+  auto graph = std::make_unique<Graph>();
+  graph_ = graph.get();
   base_table_boxes_.clear();
-
-  Box* base = BaseTableBox(&table);
-  Box* select = graph_->NewBox(BoxKind::kSelect);
-  Quantifier* q = select->AddQuantifier(
-      graph_->NewQuantifier(QuantifierType::kForEach, base));
-  q->alias = table.name;
-  for (size_t i = 0; i < table.schema.num_columns(); ++i) {
-    const ColumnDef& col = table.schema.column(i);
-    select->head.push_back(
-        HeadColumn{col.name, col.type, MakeColumnRef(q, i, col.type)});
+  Result<Box*> root = Status::Internal("not a DML statement");
+  if (stmt.kind == ast::StatementKind::kInsert) {
+    root = BindInsert(static_cast<const ast::InsertStatement&>(stmt), target);
+  } else if (stmt.kind == ast::StatementKind::kUpdate) {
+    const auto& update = static_cast<const ast::UpdateStatement&>(stmt);
+    root = BindRidQuery(update.table, update.where.get(), &update.assignments,
+                        target);
+  } else if (stmt.kind == ast::StatementKind::kDelete) {
+    const auto& del = static_cast<const ast::DeleteStatement&>(stmt);
+    root = BindRidQuery(del.table, del.where.get(), nullptr, target);
   }
-  graph_->set_root(select);
-  out.quantifier = q;
-
-  Scope scope;
-  scope.select_box = select;
-  scope.range_vars.push_back(
-      RangeVar{table.name, q, 0, table.schema.num_columns()});
-  CteEnv env;
-  ExprContext ctx;
-  ctx.scope = &scope;
-  ctx.env = &env;
-
-  if (where != nullptr) {
-    STARBURST_ASSIGN_OR_RETURN(out.predicate, BindExpr(*where, &ctx));
-    if (out.predicate->type.id != TypeId::kBool &&
-        out.predicate->type.id != TypeId::kNull) {
-      return Status::TypeError("WHERE clause must be boolean");
-    }
-  }
-  if (assignments != nullptr) {
-    for (const auto& [col_name, value_expr] : *assignments) {
-      std::optional<size_t> pos = table.schema.FindColumn(col_name);
-      if (!pos.has_value()) {
-        return Status::SemanticError("no column '" + col_name + "' in table " +
-                                     table.name);
-      }
-      STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*value_expr, &ctx));
-      const DataType& target = table.schema.column(*pos).type;
-      STARBURST_RETURN_IF_ERROR(
-          UnifyTypes(target, bound->type, "SET " + col_name).status());
-      out.assignments.emplace_back(*pos, std::move(bound));
-    }
-  }
+  if (!root.ok()) return root.status();
+  graph_->set_root(*root);
   STARBURST_RETURN_IF_ERROR(graph_->Validate());
   graph_ = nullptr;
-  return out;
-}
-
-Result<Binder::StandaloneExprBind> Binder::BindConstantExpr(
-    const ast::Expr& e) {
-  StandaloneExprBind out;
-  out.graph = std::make_unique<Graph>();
-  graph_ = out.graph.get();
-  base_table_boxes_.clear();
-  Box* root = graph_->NewBox(BoxKind::kValues);
-  graph_->set_root(root);
-  Scope scope;
-  scope.select_box = root;
-  CteEnv env;
-  ExprContext ctx;
-  ctx.scope = &scope;
-  ctx.env = &env;
-  Result<ExprPtr> bound = BindExpr(e, &ctx);
-  graph_ = nullptr;
-  if (!bound.ok()) return bound.status();
-  out.expr = bound.TakeValue();
-  return out;
+  return graph;
 }
 
 // ---------------------------------------------------------------------------
@@ -536,16 +483,22 @@ Result<Box*> Binder::BindAggregation(const ast::SelectCore& core, Box* low_box,
 // FROM clause
 // ---------------------------------------------------------------------------
 
-Box* Binder::BaseTableBox(const TableDef* table) {
+Box* Binder::BaseTableBox(const TableDef* table, bool rid) {
   std::string key = IdentUpper(table->name);
   auto it = base_table_boxes_.find(key);
-  if (it != base_table_boxes_.end()) return it->second;
+  if (!rid && it != base_table_boxes_.end()) return it->second;
   Box* box = graph_->NewBox(BoxKind::kBaseTable);
   box->table = table;
   for (const ColumnDef& col : table->schema.columns()) {
     box->head.push_back(HeadColumn{col.name, col.type, nullptr});
   }
-  base_table_boxes_[key] = box;
+  if (!rid) {
+    base_table_boxes_[key] = box;
+    return box;
+  }
+  // A DML target's own, unshared box: its hidden last column is the rid.
+  box->head.push_back(HeadColumn{kRidColumnName, DataType::Int(), nullptr});
+  box->rid_column = true;
   return box;
 }
 
@@ -566,6 +519,7 @@ Result<Box*> Binder::BindView(const ViewDef& view) {
   --view_depth_;
   if (!bound.ok()) return bound.status();
   Box* box = *bound;
+  view_boxes_.insert(box);
   if (!view.column_names.empty()) {
     if (view.column_names.size() != box->head.size()) {
       return Status::SemanticError("view '" + view.name +
@@ -1261,6 +1215,172 @@ Result<ExprPtr> Binder::BindExpr(const ast::Expr& e, ExprContext* ctx) {
     }
   }
   return Status::Internal("unknown expression kind");
+}
+
+// ---------------------------------------------------------------------------
+// DML targets
+// ---------------------------------------------------------------------------
+
+Result<size_t> Binder::BoundTarget::Find(const std::string& column,
+                                         const std::string& in) const {
+  for (size_t i = 0; i < base_columns.size(); ++i) {
+    if (IdentEquals(box->head[i].name, column)) return i;
+  }
+  return Status::SemanticError("no column '" + column + "' in " + in);
+}
+
+Result<Binder::BoundTarget> Binder::BindDmlTarget(const std::string& name,
+                                                  bool rid) {
+  BoundTarget out;
+  if (!catalog_->HasView(name)) {
+    STARBURST_ASSIGN_OR_RETURN(out.table, catalog_->GetTable(name));
+    referenced_objects_.insert("T:" + IdentUpper(name));
+    out.box = BaseTableBox(out.table, rid);
+    out.base_columns.resize(out.table->schema.num_columns());
+    std::iota(out.base_columns.begin(), out.base_columns.end(), 0);
+    return out;
+  }
+  STARBURST_ASSIGN_OR_RETURN(const ViewDef* view, catalog_->GetView(name));
+  referenced_objects_.insert("V:" + IdentUpper(name));
+  STARBURST_ASSIGN_OR_RETURN(out.box, BindView(*view));
+  // §2: "Update through views will be allowed when the update is
+  // unambiguous": one F iterator over a base table, no duplicate
+  // elimination, grouping or set operation, and plain base columns out.
+  Box* box = out.box;
+  auto ambiguous = [&](const std::string& why) {
+    return Status::SemanticError("view '" + view->name +
+                                 "' is not unambiguously updatable: " + why);
+  };
+  if (box->kind == BoxKind::kSetOp) return ambiguous("it uses set operations");
+  if (box->kind != BoxKind::kSelect) {
+    return ambiguous("it uses table expressions");
+  }
+  if (box->distinct_enforced) return ambiguous("it eliminates duplicates");
+  std::vector<Quantifier*> iterators;
+  for (const auto& q : box->quantifiers) {
+    if (q->ContributesTuples()) iterators.push_back(q.get());
+  }
+  if (iterators.size() == 1 && iterators[0]->input->kind == BoxKind::kGroupBy) {
+    return ambiguous("it performs aggregation");
+  }
+  if (iterators.size() != 1 ||
+      iterators[0]->type != QuantifierType::kForEach) {
+    return ambiguous("it ranges over more than one table");
+  }
+  Quantifier* base = iterators[0];
+  if (base->input->kind != BoxKind::kBaseTable) {
+    return ambiguous(view_boxes_.count(base->input) > 0
+                         ? "it is defined over another view"
+                         : "it uses table expressions");
+  }
+  for (size_t i = 0; i < box->head.size(); ++i) {
+    const Expr* e = box->head[i].expr.get();
+    if (e->kind != Expr::Kind::kColumnRef || e->quantifier != base) {
+      return ambiguous("output column " + std::to_string(i + 1) +
+                       " is a computed expression");
+    }
+    out.base_columns.push_back(e->column);
+  }
+  out.table = base->input->table;
+  if (rid) {
+    // The view's iterator ranges over the rid-bearing copy of its table,
+    // and the rid leaves through the view head.
+    base->input = BaseTableBox(out.table, true);
+    box->head.push_back(HeadColumn{
+        kRidColumnName, DataType::Int(),
+        MakeColumnRef(base, out.table->schema.num_columns(), DataType::Int())});
+  }
+  return out;
+}
+
+Result<Box*> Binder::BindRidQuery(
+    const std::string& name, const ast::Expr* where,
+    const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments,
+    DmlTarget* target) {
+  STARBURST_ASSIGN_OR_RETURN(BoundTarget t, BindDmlTarget(name, true));
+  const size_t exposed = t.base_columns.size();  // the rid follows
+  Box* root = graph_->NewBox(BoxKind::kSelect);
+  Quantifier* q = root->AddQuantifier(
+      graph_->NewQuantifier(QuantifierType::kForEach, t.box));
+  q->alias = name;
+  root->head.push_back(HeadColumn{kRidColumnName, DataType::Int(),
+                                  MakeColumnRef(q, exposed, DataType::Int())});
+  Scope scope;
+  scope.select_box = root;
+  scope.range_vars.push_back(RangeVar{name, q, 0, exposed});
+  CteEnv env;
+  ExprContext ctx{&scope, &env};
+  if (where != nullptr) {
+    STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*where, &ctx));
+    if (bound->type.id != TypeId::kBool && bound->type.id != TypeId::kNull) {
+      return Status::TypeError("WHERE clause must be boolean");
+    }
+    SplitConjuncts(std::move(bound), &root->predicates);
+  }
+  target->table = t.table;
+  if (assignments == nullptr) return root;
+  for (const auto& [col_name, value_expr] : *assignments) {
+    STARBURST_ASSIGN_OR_RETURN(size_t pos, t.Find(col_name, "table " + name));
+    STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*value_expr, &ctx));
+    STARBURST_RETURN_IF_ERROR(
+        UnifyTypes(q->ColumnType(pos), bound->type, "SET " + col_name)
+            .status());
+    DataType type = bound->type;
+    root->head.push_back(HeadColumn{col_name, type, std::move(bound)});
+    target->columns.push_back(t.base_columns[pos]);
+  }
+  return root;
+}
+
+Result<Box*> Binder::BindInsert(const ast::InsertStatement& stmt,
+                                DmlTarget* target) {
+  STARBURST_ASSIGN_OR_RETURN(BoundTarget t, BindDmlTarget(stmt.table, false));
+  std::vector<size_t> exposed;  // target columns, as exposed positions
+  if (stmt.columns.empty()) {
+    for (size_t i = 0; i < t.base_columns.size(); ++i) exposed.push_back(i);
+  }
+  for (const std::string& name : stmt.columns) {
+    STARBURST_ASSIGN_OR_RETURN(size_t pos, t.Find(name, stmt.table));
+    exposed.push_back(pos);
+  }
+  target->table = t.table;
+  for (size_t pos : exposed) target->columns.push_back(t.base_columns[pos]);
+  auto arity_error = [&](size_t got) {
+    return Status::SemanticError("INSERT arity mismatch: expected " +
+                                 std::to_string(exposed.size()) +
+                                 " values, got " + std::to_string(got));
+  };
+  if (stmt.query != nullptr) {
+    CteEnv env;
+    STARBURST_ASSIGN_OR_RETURN(Box * root,
+                               BindQueryNode(*stmt.query, nullptr, env));
+    STARBURST_RETURN_IF_ERROR(BindOrderByLimit(*stmt.query, root));
+    size_t width = root->head.size() - graph_->hidden_order_columns;
+    if (width != exposed.size()) return arity_error(width);
+    return root;
+  }
+  // VALUES: a leaf box whose rows are bound expressions over no input,
+  // typed by the columns they fill (the apply step coerces and checks).
+  Box* values = graph_->NewBox(BoxKind::kValues);
+  for (size_t pos : exposed) {
+    values->head.push_back(
+        HeadColumn{t.box->head[pos].name, t.box->head[pos].type, nullptr});
+  }
+  Scope scope;
+  scope.select_box = values;
+  CteEnv env;
+  ExprContext ctx{&scope, &env};
+  for (const std::vector<ast::ExprPtr>& row : stmt.rows) {
+    if (row.size() != exposed.size()) return arity_error(row.size());
+    std::vector<ExprPtr> bound_row;
+    bound_row.reserve(row.size());
+    for (const ast::ExprPtr& e : row) {
+      STARBURST_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*e, &ctx));
+      bound_row.push_back(std::move(bound));
+    }
+    values->rows.push_back(std::move(bound_row));
+  }
+  return values;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,27 +31,21 @@ class Binder {
   /// Graph::Validate().
   Result<std::unique_ptr<Graph>> BindQuery(const ast::Query& query);
 
-  /// Binding for UPDATE/DELETE: a predicate (and optional SET assignments)
-  /// over a single base table, for row-at-a-time evaluation by the engine.
-  struct TableMutationBind {
-    std::unique_ptr<Graph> graph;  // owns all boxes, incl. subquery boxes
-    Quantifier* quantifier = nullptr;  // ranges over the target table
-    ExprPtr predicate;                 // bound WHERE; null = all rows
-    /// (column position, bound value expression) pairs.
-    std::vector<std::pair<size_t, ExprPtr>> assignments;
+  /// Binds INSERT, UPDATE or DELETE as the query of the rows it changes;
+  /// the engine drains that query before it applies any change.
+  ///  * DELETE: one column, the rid of each qualifying row of the target.
+  ///  * UPDATE: the rid, then the new value of each assigned column.
+  ///  * INSERT: the rows to insert, from a VALUES box or the bound query.
+  /// A view target binds through the normal view expansion, so rewrite's
+  /// view merge folds its WHERE into the query, and must be unambiguously
+  /// updatable (§2).
+  struct DmlTarget {
+    const TableDef* table = nullptr;  // the base table written
+    /// Base column written by each root column after the rid.
+    std::vector<size_t> columns;
   };
-  Result<TableMutationBind> BindTableMutation(
-      const TableDef& table, const ast::Expr* where,
-      const std::vector<std::pair<std::string, const ast::Expr*>>* assignments);
-
-  /// Binds a constant expression (INSERT ... VALUES items): no column
-  /// references, no subqueries. The graph in the result owns nothing of
-  /// interest but keeps ownership rules uniform.
-  struct StandaloneExprBind {
-    std::unique_ptr<Graph> graph;
-    ExprPtr expr;
-  };
-  Result<StandaloneExprBind> BindConstantExpr(const ast::Expr& e);
+  Result<std::unique_ptr<Graph>> BindDml(const ast::Statement& stmt,
+                                         DmlTarget* target);
 
   /// Catalog objects this binder resolved, keyed "T:NAME" / "V:NAME"
   /// (uppercase). View bodies bind through the same binder, so references
@@ -111,7 +105,27 @@ class Binder {
                       CteEnv* env, std::vector<RangeVar>* vars);
   Result<Box*> ResolveNamedTable(const std::string& name, CteEnv* env);
   Result<Box*> BindView(const ViewDef& view);
-  Box* BaseTableBox(const TableDef* table);
+  /// The graph's shared box for `table`; with `rid`, a new unshared one
+  /// whose head ends with the rid column.
+  Box* BaseTableBox(const TableDef* table, bool rid = false);
+
+  /// A DML target bound as a box to range over: the table's own box, or
+  /// the expanded view's. With `rid`, the box's last column is the rid of
+  /// the base row (from an unshared base-table box that carries it).
+  struct BoundTarget {
+    Box* box = nullptr;
+    const TableDef* table = nullptr;
+    std::vector<size_t> base_columns;  // exposed column -> base column
+    /// Position of exposed column `column` (the error says it is not `in`).
+    Result<size_t> Find(const std::string& column, const std::string& in) const;
+  };
+  Result<BoundTarget> BindDmlTarget(const std::string& name, bool rid);
+  /// UPDATE (with `assignments`) or DELETE: the rid query over the target.
+  Result<Box*> BindRidQuery(
+      const std::string& name, const ast::Expr* where,
+      const std::vector<std::pair<std::string, ast::ExprPtr>>* assignments,
+      DmlTarget* target);
+  Result<Box*> BindInsert(const ast::InsertStatement& stmt, DmlTarget* target);
 
   Result<ExprPtr> BindExpr(const ast::Expr& e, ExprContext* ctx);
   Result<ExprPtr> BindColumnRef(const ast::ColumnRefExpr& e, ExprContext* ctx);
@@ -138,6 +152,7 @@ class Binder {
   Graph* graph_ = nullptr;  // graph under construction
   std::map<std::string, Box*> base_table_boxes_;
   std::set<std::string> referenced_objects_;
+  std::set<const Box*> view_boxes_;  // bodies of expanded views
   int view_depth_ = 0;
 };
 

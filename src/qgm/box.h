@@ -77,6 +77,10 @@ enum class BoxKind : uint8_t {
 
 const char* BoxKindName(BoxKind k);
 
+/// Name of the hidden rid column a DML target's base-table box ends with
+/// (Box::rid_column). Name resolution never reaches it.
+inline constexpr char kRidColumnName[] = "$RID";
+
 /// One output column of a box head.
 struct HeadColumn {
   std::string name;
@@ -121,6 +125,9 @@ struct Box {
 
   // ---- kBaseTable ----
   const TableDef* table = nullptr;
+  /// The head ends with one hidden column past the schema: the rid of
+  /// each row. Only a DML target's box has it (see Binder::BindDml).
+  bool rid_column = false;
 
   // ---- kGroupBy ----
   /// Group keys over the single input quantifier; head columns reference
@@ -133,7 +140,8 @@ struct Box {
   bool setop_all = false;
 
   // ---- kValues ----
-  std::vector<std::vector<Value>> rows;
+  /// Bound row expressions, one per head column (no quantifier refs).
+  std::vector<std::vector<ExprPtr>> rows;
 
   // ---- kTableFunction ----
   const TableFunctionDef* table_function = nullptr;

@@ -102,7 +102,8 @@ Status Graph::Validate() const {
     }
     // Head arity of leaf and set-operation boxes.
     if (box->kind == BoxKind::kBaseTable && box->table != nullptr &&
-        box->head.size() != box->table->schema.num_columns()) {
+        box->head.size() != box->table->schema.num_columns() +
+                                (box->rid_column ? 1 : 0)) {
       return Status::Internal("QGM: base table box " + box->Label() +
                               " head arity does not match the schema");
     }

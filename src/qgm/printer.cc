@@ -32,7 +32,7 @@ void PrintBoxTo(const Box& box, std::ostringstream& out) {
       out << "\n";
       break;
     case BoxKind::kValues:
-      out << "  " << box.rows.size() << " literal row(s)\n";
+      out << "  " << box.rows.size() << " row(s)\n";
       break;
     default:
       break;

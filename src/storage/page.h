@@ -47,6 +47,13 @@ struct Rid {
   bool operator<(const Rid& o) const {
     return page != o.page ? page < o.page : slot < o.slot;
   }
+
+  /// The rid packed into one integer (page above slot, so the order is
+  /// kept): the value of a DML target's hidden rid column.
+  int64_t ToInt() const { return (static_cast<int64_t>(page) << 16) | slot; }
+  static Rid FromInt(int64_t v) {
+    return Rid{static_cast<PageNo>(v >> 16), static_cast<uint16_t>(v & 0xffff)};
+  }
 };
 
 /// The simulated disk: a set of page files. All pages live in memory; the

@@ -106,10 +106,13 @@ Result<Rid> StorageEngine::InsertRow(const std::string& table_name,
                                      const Row& row) {
   STARBURST_ASSIGN_OR_RETURN(TableStorage * table, GetTable(table_name));
   STARBURST_ASSIGN_OR_RETURN(Rid rid, table->Insert(row));
-  for (Attachment* att : AttachmentsOn(table_name)) {
-    Status st = att->OnInsert(row, rid);
+  std::vector<Attachment*> atts = AttachmentsOn(table_name);
+  for (size_t i = 0; i < atts.size(); ++i) {
+    Status st = atts[i]->OnInsert(row, rid);
     if (!st.ok()) {
-      // Undo the base insert so a unique violation leaves no orphan row.
+      // Undo the keys already added and the base insert, so a unique
+      // violation leaves no orphan key or row.
+      while (i > 0) (void)atts[--i]->OnDelete(row, rid);
       (void)table->Delete(rid);
       return st;
     }
@@ -117,14 +120,14 @@ Result<Rid> StorageEngine::InsertRow(const std::string& table_name,
   return rid;
 }
 
-Status StorageEngine::DeleteRow(const std::string& table_name, Rid rid) {
+Result<Row> StorageEngine::DeleteRow(const std::string& table_name, Rid rid) {
   STARBURST_ASSIGN_OR_RETURN(TableStorage * table, GetTable(table_name));
   STARBURST_ASSIGN_OR_RETURN(Row row, table->Fetch(rid));
   STARBURST_RETURN_IF_ERROR(table->Delete(rid));
   for (Attachment* att : AttachmentsOn(table_name)) {
     STARBURST_RETURN_IF_ERROR(att->OnDelete(row, rid));
   }
-  return Status::OK();
+  return row;
 }
 
 Result<Rid> StorageEngine::UpdateRow(const std::string& table_name, Rid rid,
@@ -132,11 +135,26 @@ Result<Rid> StorageEngine::UpdateRow(const std::string& table_name, Rid rid,
   STARBURST_ASSIGN_OR_RETURN(TableStorage * table, GetTable(table_name));
   STARBURST_ASSIGN_OR_RETURN(Row old_row, table->Fetch(rid));
   STARBURST_ASSIGN_OR_RETURN(Rid new_rid, table->Update(rid, row));
-  for (Attachment* att : AttachmentsOn(table_name)) {
-    STARBURST_RETURN_IF_ERROR(att->OnDelete(old_row, rid));
-    STARBURST_RETURN_IF_ERROR(att->OnInsert(row, new_rid));
+  // Every old key leaves before any new key enters, so a row may keep its
+  // own unique key. A failure puts back the keys moved so far and the
+  // heap row (under whatever rid it lands on).
+  std::vector<Attachment*> atts = AttachmentsOn(table_name);
+  size_t removed = 0, inserted = 0;
+  Status st;
+  while (st.ok() && removed < atts.size()) {
+    st = atts[removed]->OnDelete(old_row, rid);
+    removed += st.ok() ? 1 : 0;
   }
-  return new_rid;
+  while (st.ok() && inserted < atts.size()) {
+    st = atts[inserted]->OnInsert(row, new_rid);
+    inserted += st.ok() ? 1 : 0;
+  }
+  if (st.ok()) return new_rid;
+  while (inserted > 0) (void)atts[--inserted]->OnDelete(row, new_rid);
+  Result<Rid> restored = table->Update(new_rid, old_row);
+  Rid old_rid = restored.ok() ? *restored : new_rid;
+  while (removed > 0) (void)atts[--removed]->OnInsert(old_row, old_rid);
+  return st;
 }
 
 }  // namespace starburst

@@ -43,8 +43,12 @@ class StorageEngine {
   std::vector<Attachment*> AttachmentsOn(const std::string& table_name);
 
   // -- mutations with attachment maintenance --
+  // InsertRow and UpdateRow are all-or-nothing: on failure (a duplicate
+  // unique key) the heap and every attachment are as they were.
   Result<Rid> InsertRow(const std::string& table_name, const Row& row);
-  Status DeleteRow(const std::string& table_name, Rid rid);
+  /// Returns the row it removed.
+  Result<Row> DeleteRow(const std::string& table_name, Rid rid);
+  /// Returns the row's rid after the update (the heap may move it).
   Result<Rid> UpdateRow(const std::string& table_name, Rid rid, const Row& row);
 
   BufferPool& buffer_pool() { return pool_; }

@@ -264,27 +264,42 @@ TEST_F(QgmTest, PrinterShowsAggregatesAndSetOps) {
   EXPECT_NE(setop_text.find("UNION ALL"), std::string::npos);
 }
 
-TEST_F(QgmTest, TableMutationBind) {
-  qgm::Binder binder(&catalog_);
-  auto parsed = Parser::ParseQueryText("SELECT 1");
-  ASSERT_TRUE(parsed.ok());
-  const TableDef* table = *catalog_.GetTable("inventory");
-
-  Parser where_parser("UPDATE inventory SET onhand_qty = onhand_qty + 1 "
-                      "WHERE type = 'CPU'");
-  Result<ast::StatementPtr> stmt = where_parser.ParseStatement();
+TEST_F(QgmTest, DmlBindsToARidQuery) {
+  // UPDATE binds as a query over the target: its root outputs the rid of
+  // each qualifying row, then the new value of each assigned column.
+  Parser parser("UPDATE inventory SET onhand_qty = onhand_qty + 1 "
+                "WHERE type = 'CPU'");
+  Result<ast::StatementPtr> stmt = parser.ParseStatement();
   ASSERT_TRUE(stmt.ok());
-  const auto& update = static_cast<const ast::UpdateStatement&>(**stmt);
-  std::vector<std::pair<std::string, const ast::Expr*>> assignments;
-  for (const auto& [name, expr] : update.assignments) {
-    assignments.emplace_back(name, expr.get());
-  }
-  Result<qgm::Binder::TableMutationBind> bind =
-      binder.BindTableMutation(*table, update.where.get(), &assignments);
-  ASSERT_TRUE(bind.ok());
-  EXPECT_NE(bind->predicate, nullptr);
-  ASSERT_EQ(bind->assignments.size(), 1u);
-  EXPECT_EQ(bind->assignments[0].first, 1u);  // onhand_qty position
+  qgm::Binder binder(&catalog_);
+  qgm::Binder::DmlTarget target;
+  Result<std::unique_ptr<qgm::Graph>> graph = binder.BindDml(**stmt, &target);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(target.table, *catalog_.GetTable("inventory"));
+  ASSERT_EQ(target.columns.size(), 1u);
+  EXPECT_EQ(target.columns[0], 1u);  // onhand_qty position
+
+  const Box* root = (*graph)->root();
+  ASSERT_EQ(root->kind, BoxKind::kSelect);
+  ASSERT_EQ(root->head.size(), 2u);
+  EXPECT_EQ(root->head[0].name, qgm::kRidColumnName);
+  EXPECT_EQ(root->head[1].name, "onhand_qty");
+  EXPECT_EQ(root->head[1].expr->kind, qgm::Expr::Kind::kBinary);  // qty + 1
+  ASSERT_EQ(root->predicates.size(), 1u);  // the WHERE, bound
+
+  // The rid comes from the target's own base-table box, one column past
+  // its schema; a SELECT over the same table never sees that column.
+  ASSERT_EQ(root->quantifiers.size(), 1u);
+  const Box* base = root->quantifiers[0]->input;
+  ASSERT_EQ(base->kind, BoxKind::kBaseTable);
+  EXPECT_TRUE(base->rid_column);
+  EXPECT_EQ(base->head.size(), 4u);
+  const qgm::Expr& rid = *root->head[0].expr;
+  EXPECT_EQ(rid.kind, qgm::Expr::Kind::kColumnRef);
+  EXPECT_EQ(rid.column, 3u);
+  auto select = MustBind("SELECT * FROM inventory");
+  ASSERT_NE(select, nullptr);
+  EXPECT_EQ(select->root()->head.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
