@@ -82,12 +82,12 @@ size_t RunJoin(exec::Operator* op) {
   exec::ExecContext ctx(&storage, &catalog);
   if (!op->Open(&ctx).ok()) std::exit(1);
   size_t n = 0;
-  Row row;
+  RowBatch batch(ctx.batch_size());
   while (true) {
-    Result<bool> more = op->Next(&row);
+    Result<bool> more = op->NextBatch(&batch);
     if (!more.ok()) std::exit(1);
     if (!*more) break;
-    ++n;
+    n += batch.size();
   }
   op->Close();
   return n;

@@ -14,7 +14,7 @@
 //   trace+ops  tracer enabled and per-operator stats collected
 //
 // Per-operator stats are the expensive knob by construction — two clock
-// reads per Next() on every operator — which is why EXPLAIN ANALYZE and
+// reads per NextBatch() on every operator — which is why EXPLAIN ANALYZE and
 // \timing opt into them per query instead of leaving them on.
 
 #include "bench_util.h"

@@ -144,9 +144,6 @@ std::pair<const char*, const char*> DmlNames(ast::StatementKind kind) {
   return {"DELETE", "delete from"};
 }
 
-/// Rows the apply step changes between checks for KILL and the deadline.
-constexpr size_t kApplyCheckRows = 256;
-
 /// Clear error for any DDL/DML aimed at the reserved sys schema.
 Status RejectSystemTarget(const std::string& name, const char* verb) {
   if (!IsSystemTableName(name)) return Status::OK();
@@ -1069,7 +1066,6 @@ Result<int64_t> Database::ApplyChanges(ast::StatementKind kind,
                                        std::vector<Row>* rows) {
   const TableDef& table = *target.table;
   const std::string& name = table.name;
-  STARBURST_ASSIGN_OR_RETURN(TableStorage * heap, storage_.GetTable(name));
   // UPDATE and DELETE rows lead with a rid: apply them in rid order, the
   // same order whichever plan (index, parallel, rewritten) found them.
   if (kind != ast::StatementKind::kInsert) {
@@ -1077,11 +1073,17 @@ Result<int64_t> Database::ApplyChanges(ast::StatementKind kind,
       return a[0].int_value() < b[0].int_value();
     });
   }
-  // Statement atomicity: every change is logged with what undoes it. An
-  // insert by its rid, a delete by the old row, an update by its new rid
-  // and the old row.
+  // Statement atomicity: every insert and delete is logged with what
+  // undoes it, an insert by its rid and a delete by the old row. UPDATE
+  // stages its coerced new values and applies them in one all-or-nothing
+  // UpdateRows at the end, which checks keys against the final state.
   std::vector<std::pair<Rid, Row>> undo;
-  undo.reserve(rows->size());
+  std::vector<StorageEngine::RowUpdate> updates;
+  if (kind == ast::StatementKind::kUpdate) {
+    updates.reserve(rows->size());
+  } else {
+    undo.reserve(rows->size());
+  }
   auto apply = [&](Row& change) -> Status {
     if (kind == ast::StatementKind::kInsert) {
       std::vector<Value> full(table.schema.num_columns(), Value::Null());
@@ -1103,32 +1105,33 @@ Result<int64_t> Database::ApplyChanges(ast::StatementKind kind,
       undo.emplace_back(rid, std::move(old_row));
       return Status::OK();
     }
-    STARBURST_ASSIGN_OR_RETURN(Row updated, heap->Fetch(rid));
-    Row old_row = updated;
+    StorageEngine::RowUpdate update{rid, {}};
+    update.values.reserve(target.columns.size());
     for (size_t c = 0; c < target.columns.size(); ++c) {
       const ColumnDef& col = table.schema.column(target.columns[c]);
-      STARBURST_ASSIGN_OR_RETURN(updated[target.columns[c]],
+      STARBURST_ASSIGN_OR_RETURN(Value v,
                                  CoerceForColumn(std::move(change[c + 1]), col));
+      update.values.push_back(std::move(v));
     }
-    STARBURST_ASSIGN_OR_RETURN(Rid moved, storage_.UpdateRow(name, rid, updated));
-    undo.emplace_back(moved, std::move(old_row));
+    updates.push_back(std::move(update));
     return Status::OK();
   };
   CancelToken& cancel = stmt_state().cancel;
   Status st;
   for (size_t i = 0; st.ok() && i < rows->size(); ++i) {
-    if (i % kApplyCheckRows == 0) st = cancel.Check();
+    if (i % StorageEngine::kCancelCheckRows == 0) st = cancel.Check();
     if (st.ok()) st = apply((*rows)[i]);
   }
   // A deadline that passed while the last rows went in fails it too.
   if (st.ok()) st = cancel.Check();
+  if (st.ok() && kind == ast::StatementKind::kUpdate) {
+    st = storage_.UpdateRows(name, target.columns, updates, &cancel).status();
+  }
   for (auto it = undo.rbegin(); !st.ok() && it != undo.rend(); ++it) {
     if (kind == ast::StatementKind::kInsert) {
       (void)storage_.DeleteRow(name, it->first);
-    } else if (kind == ast::StatementKind::kDelete) {
-      (void)storage_.InsertRow(name, it->second);
     } else {
-      (void)storage_.UpdateRow(name, it->first, it->second);
+      (void)storage_.InsertRow(name, it->second);
     }
   }
   RefreshRowStats(name);

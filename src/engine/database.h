@@ -15,7 +15,7 @@
 #include "engine/settings.h"
 #include "engine/statement_registry.h"
 #include "engine/result_set.h"
-#include "exec/executor.h"
+#include "exec/plan_refiner.h"
 #include "obs/metrics.h"
 #include "obs/op_stats.h"
 #include "obs/query_log.h"

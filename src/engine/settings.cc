@@ -109,14 +109,14 @@ Result<SettingValue> ParseValue(const Setting& s,
 const std::vector<Setting>& SettingsTable() {
   static const std::vector<Setting> table = {
       // Read by CompileSelect: how the plan is refined and run.
-      {"PARALLELISM", kInt, 0, exec::Executor::Options::kMaxParallelism, true,
+      {"PARALLELISM", kInt, 0, exec::ExecOptions::kMaxParallelism, true,
        {},
        [](const SettingsTarget& t) {
          return SettingValue{int64_t(t.settings->exec.parallelism), {}};
        },
        [](SettingsTarget& t, const SettingValue& v) {  // 0 = DEFAULT too
          t.settings->exec.parallelism =
-             v.number == 0 ? exec::Executor::Options::DefaultParallelism()
+             v.number == 0 ? exec::ExecOptions::DefaultParallelism()
                            : static_cast<size_t>(v.number);
        }},
       FIELD("PARALLEL_MIN_ROWS", kInt, 0, kMaxExactDouble, true,

@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "engine/admission.h"
 #include "engine/plan_cache.h"
-#include "exec/executor.h"
+#include "exec/plan_refiner.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
 #include "parser/ast.h"
@@ -31,7 +31,7 @@ struct Settings {
   bool rewrite_enabled = true;  // Figure 1: "could be bypassed"
   rewrite::RuleEngine::Options rewrite;
   optimizer::Optimizer::Options optimizer;
-  exec::Executor::Options exec;
+  exec::ExecOptions exec;
   /// Per-operator runtime stats for every query (EXPLAIN ANALYZE collects
   /// regardless); two clock reads per operator invocation.
   bool collect_op_stats = false;

@@ -125,18 +125,6 @@ class GroupAggOp : public Operator {
     return FinalizeGroups();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
-      if (pos_ < results_.size()) {
-        *row = results_[pos_++];
-        ++ctx_->stats().rows_emitted;
-        return true;
-      }
-      if (pending_.empty()) return false;
-      STARBURST_RETURN_IF_ERROR(ProcessNextPartition());
-    }
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     while (true) {
       size_t before = pos_;

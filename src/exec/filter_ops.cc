@@ -22,22 +22,6 @@ class FilterOp : public Operator {
     return input_->Open(ctx);
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, input_->Next(row));
-      if (!more) return false;
-      bool pass = true;
-      for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(*row, ctx_));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) return true;
-    }
-  }
-
   /// Batch-native path: pulls input batches through the caller's batch and
   /// narrows the selection vector to the passing rows — no row is copied.
   /// Kernel program first; interpreter when it is absent or declines.
@@ -83,24 +67,6 @@ class OrRouteOp : public Operator {
   Status OpenImpl(ExecContext* ctx) override {
     ctx_ = ctx;
     return input_->Open(ctx);
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, input_->Next(row));
-      if (!more) return false;
-      for (const auto& branch : branches_) {
-        bool branch_pass = true;
-        for (const CompiledExprPtr& p : branch) {
-          STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(*row, ctx_));
-          if (!ok) {
-            branch_pass = false;
-            break;
-          }
-        }
-        if (branch_pass) return true;  // accepted; later branches skipped
-      }
-    }
   }
 
   /// Batched disjunction: per row, branches still run in order and stop at
@@ -163,24 +129,6 @@ class ProjectOp : public Operator {
     ctx_ = ctx;
     in_batch_.Reset(ctx->batch_size());
     return input_->Open(ctx);
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    Row in;
-    STARBURST_ASSIGN_OR_RETURN(bool more, input_->Next(&in));
-    if (!more) return false;
-    if (exprs_.empty()) {  // pure relabeling
-      *row = std::move(in);
-      return true;
-    }
-    std::vector<Value> values;
-    values.reserve(exprs_.size());
-    for (const CompiledExprPtr& e : exprs_) {
-      STARBURST_ASSIGN_OR_RETURN(Value v, e->Eval(in, ctx_));
-      values.push_back(std::move(v));
-    }
-    *row = Row(std::move(values));
-    return true;
   }
 
   /// Batch-native path: computes the output expressions for every active
@@ -263,12 +211,6 @@ class TempOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= buffer_->size()) return false;
-    *row = (*buffer_)[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     return FillBatchFromRows(*buffer_, &pos_, batch);
   }
@@ -293,23 +235,6 @@ class ShipOp : public Operator {
   Status OpenImpl(ExecContext* ctx) override {
     ctx_ = ctx;
     return input_->Open(ctx);
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    STARBURST_ASSIGN_OR_RETURN(bool more, input_->Next(row));
-    if (more) {
-      ++ctx_->stats().shipped_rows;
-      if (per_row_delay_us_ > 0) {
-        // Simulated wire time: spin briefly so benches observe SHIP cost.
-        double sink = 0;
-        for (int i = 0; i < static_cast<int>(per_row_delay_us_ * 10); ++i) {
-          sink += i;
-        }
-        volatile double keep = sink;
-        (void)keep;
-      }
-    }
-    return more;
   }
 
   Result<bool> NextBatchImpl(RowBatch* batch) override {
@@ -348,13 +273,6 @@ class LimitOp : public Operator {
   Status OpenImpl(ExecContext* ctx) override {
     produced_ = 0;
     return input_->Open(ctx);
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    if (limit_ >= 0 && produced_ >= limit_) return false;
-    STARBURST_ASSIGN_OR_RETURN(bool more, input_->Next(row));
-    if (more) ++produced_;
-    return more;
   }
 
   /// Batched LIMIT clamps the producer's fill limit to the rows remaining,

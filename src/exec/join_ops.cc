@@ -41,63 +41,66 @@ class NlJoinOp : public Operator {
     ctx_ = ctx;
     STARBURST_RETURN_IF_ERROR(outer_->Open(ctx));
     have_outer_ = false;
+    outer_done_ = false;
     inner_open_ = false;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    // Verdict-per-outer-row kinds buffer nothing: each outer row is fully
-    // decided against the inner stream before the next is fetched.
-    while (true) {
+  /// Both inputs are read a row at a time through cursors; the join stops
+  /// the moment the caller's batch is full and resumes there, so each
+  /// input is pulled for exactly the rows the output needs.
+  Result<bool> NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
       if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
-        have_outer_ = true;
+        if (outer_done_) break;
+        STARBURST_ASSIGN_OR_RETURN(bool more,
+                                   outer_rows_.Next(outer_.get(), &outer_row_));
+        if (!more) {
+          outer_done_ = true;
+          break;
+        }
         STARBURST_RETURN_IF_ERROR(ReopenInner());
+        // Verdict-per-outer-row kinds buffer nothing: each outer row is
+        // fully decided against the inner stream before the next is
+        // fetched.
         switch (spec_.kind) {
           case JoinKind::kExists:
           case JoinKind::kAnti:
           case JoinKind::kOpAll:
           case JoinKind::kSetPred: {
             STARBURST_ASSIGN_OR_RETURN(bool verdict, DecideOuter());
-            have_outer_ = false;
-            if (verdict) {
-              *row = outer_row_;
-              return true;
-            }
+            if (verdict) out->Append(std::move(outer_row_));
             continue;
           }
           case JoinKind::kScalar: {
-            STARBURST_ASSIGN_OR_RETURN(Row out, ScalarJoinRow());
-            have_outer_ = false;
-            *row = std::move(out);
-            return true;
+            STARBURST_ASSIGN_OR_RETURN(Row row, ScalarJoinRow());
+            out->Append(std::move(row));
+            continue;
           }
           default:
+            have_outer_ = true;
             matched_ = false;
             break;
         }
       }
       // kRegular / kLeftOuter: stream matches lazily.
-      Row inner_row;
-      while (true) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
-        if (!more) break;
-        Row joined = ConcatRows(outer_row_, inner_row);
+      STARBURST_ASSIGN_OR_RETURN(bool more,
+                                 inner_rows_.Next(inner_.get(), &inner_row_));
+      if (more) {
+        Row joined = ConcatRows(outer_row_, inner_row_);
         STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
         if (pass) {
           matched_ = true;
-          *row = std::move(joined);
-          return true;
+          out->Append(std::move(joined));
         }
+        continue;
       }
-      bool emit_unmatched = spec_.kind == JoinKind::kLeftOuter && !matched_;
       have_outer_ = false;
-      if (emit_unmatched) {
-        *row = NullPad(outer_row_, spec_.inner_width);
-        return true;
+      if (spec_.kind == JoinKind::kLeftOuter && !matched_) {
+        out->Append(NullPad(outer_row_, spec_.inner_width));
       }
     }
+    return !out->empty();
   }
 
   void CloseImpl() override {
@@ -149,11 +152,11 @@ class NlJoinOp : public Operator {
                                  spec_.quant_operand->Eval(outer_row_, ctx_));
     }
     bool any_true = false, any_false = false, any_unknown = false;
-    Row inner_row;
     while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
+      STARBURST_ASSIGN_OR_RETURN(bool more,
+                                 inner_rows_.Next(inner_.get(), &inner_row_));
       if (!more) break;
-      Row joined = ConcatRows(outer_row_, inner_row);
+      Row joined = ConcatRows(outer_row_, inner_row_);
       STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
       if (!pass) continue;
       if (spec_.quant_operand == nullptr) {
@@ -164,7 +167,7 @@ class NlJoinOp : public Operator {
         continue;
       }
       STARBURST_ASSIGN_OR_RETURN(
-          Value cmp, EvalBinaryValues(spec_.cmp_op, operand, inner_row[0]));
+          Value cmp, EvalBinaryValues(spec_.cmp_op, operand, inner_row_[0]));
       bool truth = !cmp.is_null() && cmp.bool_value();
       if (cmp.is_null()) any_unknown = true;
       if (truth) any_true = true;
@@ -193,12 +196,13 @@ class NlJoinOp : public Operator {
   }
 
   Result<Row> ScalarJoinRow() {
-    Row inner_row, match;
+    Row match;
     size_t matches = 0;
     while (true) {
-      STARBURST_ASSIGN_OR_RETURN(bool more, inner_->Next(&inner_row));
+      STARBURST_ASSIGN_OR_RETURN(bool more,
+                                 inner_rows_.Next(inner_.get(), &inner_row_));
       if (!more) break;
-      Row joined = ConcatRows(outer_row_, inner_row);
+      Row joined = ConcatRows(outer_row_, inner_row_);
       STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
       if (!pass) continue;
       if (++matches > 1) {
@@ -214,8 +218,10 @@ class NlJoinOp : public Operator {
   OperatorPtr outer_, inner_;
   JoinSpec spec_;
   ExecContext* ctx_ = nullptr;
-  Row outer_row_;
-  bool have_outer_ = false;
+  RowCursor outer_rows_, inner_rows_;
+  Row outer_row_, inner_row_;
+  bool have_outer_ = false;  // kRegular/kLeftOuter: outer_row_ mid-stream
+  bool outer_done_ = false;  // the outer stream has ended
   bool inner_open_ = false;
   bool matched_ = false;
   ExecContext::ParamFrame frame_;
@@ -288,72 +294,8 @@ class HashJoinOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
-      if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
-        have_outer_ = true;
-        matched_ = false;
-        bucket_ = nullptr;
-        bucket_pos_ = 0;
-        bool has_null = probe_gather_.Gather(outer_row_, &probe_key_);
-        if (!has_null) {
-          // A NULL outer key probes nothing: kRegular/kExists drop the
-          // row, kLeftOuter null-pads it, and kAnti emits it (NOT EXISTS
-          // never matches on NULL) via the bucket-exhausted path below.
-          if (shared_ != nullptr) {
-            bucket_ = shared_->Probe(probe_key_);
-          } else {
-            auto it = table_.find(probe_key_);
-            if (it != table_.end()) bucket_ = &it->second;
-          }
-        }
-      }
-      // Walk the bucket.
-      while (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
-        Row joined = ConcatRows(outer_row_, (*bucket_)[bucket_pos_++]);
-        STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
-        if (!pass) continue;
-        matched_ = true;
-        switch (spec_.kind) {
-          case JoinKind::kRegular:
-          case JoinKind::kLeftOuter:
-            *row = std::move(joined);
-            return true;
-          case JoinKind::kExists:
-            have_outer_ = false;
-            *row = outer_row_;
-            return true;
-          case JoinKind::kAnti:
-            have_outer_ = false;  // matched: rejected
-            goto next_outer;
-          default:
-            return Status::Internal("unsupported hash join kind");
-        }
-      }
-      // Bucket exhausted.
-      {
-        bool was_matched = matched_;
-        have_outer_ = false;
-        if (spec_.kind == JoinKind::kLeftOuter && !was_matched) {
-          *row = NullPad(outer_row_, spec_.inner_width);
-          return true;
-        }
-        if (spec_.kind == JoinKind::kAnti && !was_matched) {
-          *row = outer_row_;
-          return true;
-        }
-      }
-    next_outer:;
-    }
-  }
-
-  /// Batch-native probe: consumes the outer side batch-at-a-time and
-  /// stages joined rows into the caller's batch, suspending mid-bucket
-  /// when it fills. A consumer drives either Next or NextBatch for the
-  /// lifetime of one Open, never both, so the row- and batch-path cursors
-  /// (outer_row_ vs outer_batch_/cur_outer_) cannot interleave.
+  /// Consumes the outer side batch-at-a-time and stages joined rows into
+  /// the caller's batch, suspending mid-bucket when it fills.
   Result<bool> NextBatchImpl(RowBatch* out) override {
     ScopedParamFold fold;
     for (const CompiledExprPtr& p : spec_.predicates) {
@@ -363,6 +305,10 @@ class HashJoinOp : public Operator {
     while (!out->full()) {
       if (!have_outer_) {
         if (outer_pos_ >= outer_batch_.size()) {
+          // Pull no more outer rows per refill than the caller takes per
+          // call: one at a time under a join's RowCursor, as many as a
+          // LIMIT has left.
+          outer_batch_.set_fill_limit(out->fill_limit());
           STARBURST_ASSIGN_OR_RETURN(bool more,
                                      outer_->NextBatch(&outer_batch_));
           if (!more) break;
@@ -374,7 +320,10 @@ class HashJoinOp : public Operator {
         bucket_ = nullptr;
         bucket_pos_ = 0;
         // Gather into reused scratch — the probe loop's per-row Row
-        // allocation was the cost.
+        // allocation was the cost. A NULL outer key probes nothing:
+        // kRegular/kExists drop the row, kLeftOuter null-pads it, and
+        // kAnti emits it (NOT EXISTS never matches on NULL) via the
+        // bucket-exhausted path below.
         bool has_null = probe_gather_.Gather(*cur_outer_, &probe_key_);
         if (!has_null) {
           if (shared_ != nullptr) {
@@ -452,8 +401,7 @@ class HashJoinOp : public Operator {
   const parallel::SharedHashTable* shared_ = nullptr;
   ExecContext* ctx_ = nullptr;
   std::unordered_map<Row, std::vector<Row>, RowHash> table_;
-  Row outer_row_;
-  RowBatch outer_batch_;          // batch-path outer staging
+  RowBatch outer_batch_;          // outer staging
   size_t outer_pos_ = 0;          // next unconsumed row in outer_batch_
   const Row* cur_outer_ = nullptr;  // into outer_batch_; stable until refill
   bool have_outer_ = false;
@@ -496,39 +444,47 @@ class MergeJoinOp : public Operator {
     inner_base_ = 0;
     STARBURST_RETURN_IF_ERROR(outer_->Open(ctx));
     have_outer_ = false;
+    outer_done_ = false;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (true) {
+  /// The outer is read a row at a time through a cursor (the inner was
+  /// drained at Open); like the nested-loop join, it stops the moment the
+  /// caller's batch is full and resumes there.
+  Result<bool> NextBatchImpl(RowBatch* out) override {
+    while (!out->full()) {
       if (!have_outer_) {
-        STARBURST_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
-        if (!more) return false;
+        if (outer_done_) break;
+        STARBURST_ASSIGN_OR_RETURN(bool more,
+                                   outer_rows_.Next(outer_.get(), &outer_row_));
+        if (!more) {
+          outer_done_ = true;
+          break;
+        }
         have_outer_ = true;
         matched_ = false;
         AlignInner();
         group_pos_ = inner_base_;
       }
-      while (group_pos_ < group_end_) {
+      if (group_pos_ < group_end_) {
         Row joined = ConcatRows(outer_row_, inner_rows_[group_pos_++]);
         STARBURST_ASSIGN_OR_RETURN(bool pass, PredsPass(spec_, joined, ctx_));
         if (!pass) continue;
         matched_ = true;
         if (spec_.kind == JoinKind::kExists) {
           have_outer_ = false;
-          *row = outer_row_;
-          return true;
+          out->Append(std::move(outer_row_));
+        } else {
+          out->Append(std::move(joined));
         }
-        *row = std::move(joined);
-        return true;
+        continue;
       }
-      bool was_matched = matched_;
       have_outer_ = false;
-      if (spec_.kind == JoinKind::kLeftOuter && !was_matched) {
-        *row = NullPad(outer_row_, spec_.inner_width);
-        return true;
+      if (spec_.kind == JoinKind::kLeftOuter && !matched_) {
+        out->Append(NullPad(outer_row_, spec_.inner_width));
       }
     }
+    return !out->empty();
   }
 
   void CloseImpl() override {
@@ -579,8 +535,10 @@ class MergeJoinOp : public Operator {
   ExecContext* ctx_ = nullptr;
   std::vector<Row> inner_rows_;
   size_t inner_base_ = 0, group_pos_ = 0, group_end_ = 0;
+  RowCursor outer_rows_;
   Row outer_row_;
   bool have_outer_ = false;
+  bool outer_done_ = false;
   bool matched_ = false;
 };
 

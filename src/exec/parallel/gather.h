@@ -34,7 +34,7 @@ struct ParallelPlanContext {
   /// With `shared` the clones run on that (engine-owned, statement-
   /// shared) pool, so concurrent statements' batches interleave by
   /// priority; without it the context owns a private pool of
-  /// parallelism−1 workers (standalone Executor use, tests).
+  /// parallelism−1 workers (standalone use, tests).
   explicit ParallelPlanContext(size_t parallelism_,
                                TaskScheduler* shared = nullptr)
       : parallelism(parallelism_ == 0 ? 1 : parallelism_),

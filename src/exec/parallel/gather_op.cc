@@ -62,19 +62,6 @@ class GatherOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (cursor_buffer_ < buffers_.size()) {
-      std::vector<Row>& buf = buffers_[cursor_buffer_];
-      if (cursor_row_ < buf.size()) {
-        *row = std::move(buf[cursor_row_++]);
-        return true;
-      }
-      ++cursor_buffer_;
-      cursor_row_ = 0;
-    }
-    return false;
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     while (!batch->full() && cursor_buffer_ < buffers_.size()) {
       std::vector<Row>& buf = buffers_[cursor_buffer_];
@@ -243,19 +230,6 @@ class ExchangeSourceOp : public Operator {
     worker_ = 0;
     pos_ = 0;
     return Status::OK();
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    while (worker_ < exchange_->staged.size()) {
-      const std::vector<Row>& rows = exchange_->staged[worker_][partition_];
-      if (pos_ < rows.size()) {
-        *row = rows[pos_++];
-        return true;
-      }
-      ++worker_;
-      pos_ = 0;
-    }
-    return false;
   }
 
   Result<bool> NextBatchImpl(RowBatch* batch) override {

@@ -1,5 +1,8 @@
 #include "exec/plan_refiner.h"
 
+#include <algorithm>
+#include <thread>
+
 namespace starburst::exec {
 
 using optimizer::ColumnBinding;
@@ -645,6 +648,11 @@ Result<OperatorPtr> PlanRefiner::BuildGroupAggOver(const Plan& plan,
   }
   return MakeGroupAggOp(std::move(input), std::move(keys), std::move(aggs),
                         std::move(head), options_.agg_memory_bytes, Kernels());
+}
+
+size_t ExecOptions::DefaultParallelism() {
+  size_t n = std::thread::hardware_concurrency();
+  return std::clamp<size_t>(n, 1, kMaxParallelism);
 }
 
 }  // namespace starburst::exec

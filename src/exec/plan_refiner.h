@@ -53,9 +53,8 @@ class PlanRefiner {
     /// Worth gate: estimated base-table rows a subtree must scan before
     /// it is worth parallelizing (thread handoff isn't free). 0 = always.
     double parallel_min_rows = 1024;
-    /// Rows a batched operator stages per NextBatch call; the caller
-    /// (Executor / Database) installs this on the ExecContext before
-    /// opening the refined tree. 1 pins exact row-at-a-time behavior.
+    /// Batch capacity (SET BATCH_SIZE); the engine installs it on the
+    /// ExecContext before opening the refined tree.
     size_t batch_size = RowBatch::kDefaultCapacity;
     /// Build budgets (bytes, 0 = unlimited) handed to the blocking
     /// operators: sorts spill runs past sort_memory_bytes; aggregations
@@ -141,6 +140,20 @@ class PlanRefiner {
   /// (EXPLAIN ANALYZE shows one aggregated line, not P duplicates).
   std::map<const optimizer::Plan*, obs::PlanStatsTree::Node*>*
       parallel_stats_ = nullptr;
+};
+
+/// What the engine runs a refined plan under (`Settings::exec`): the
+/// refiner's options plus the query-wide memory cap, with the worker
+/// count defaulting to the hardware concurrency.
+struct ExecOptions : PlanRefiner::Options {
+  ExecOptions() { parallelism = DefaultParallelism(); }
+  /// Query-wide cap over every governed operator's sum
+  /// (SET QUERY_MEMORY; 0 = unlimited).
+  uint64_t query_memory_bytes = 0;
+
+  /// SET PARALLELISM's upper bound; the hardware default is clamped to it.
+  static constexpr size_t kMaxParallelism = 256;
+  static size_t DefaultParallelism();
 };
 
 }  // namespace starburst::exec

@@ -70,12 +70,6 @@ class RecurseOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= working_.size()) return false;
-    *row = working_[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     return FillBatchFromRows(working_, &pos_, batch);
   }

@@ -19,19 +19,19 @@ class ScanOp : public Operator {
          const KernelOptions& kernels = {})
       : table_(table), columns_(std::move(columns)),
         predicates_(std::move(predicates)), morsels_(morsels) {
-    identity_prefix_ = true;
+    bool identity_prefix = true;
     for (size_t i = 0; i < columns_.size(); ++i) {
       if (columns_[i] != i) {
-        identity_prefix_ = false;
+        identity_prefix = false;
         break;
       }
     }
-    // Whole-row identity projection: batched refills may then decode pages
-    // straight into the batch's slots with no staging block at all, and
-    // append the rid when the hidden rid column follows the row.
+    // Whole-row identity projection: refills then decode pages straight
+    // into the batch's slots with no staging block at all, and append the
+    // rid when the hidden rid column follows the row.
     const size_t width = table_->schema.num_columns();
-    append_rid_ = identity_prefix_ && columns_.size() == width + 1;
-    direct_fill_ = identity_prefix_ && (columns_.size() == width || append_rid_);
+    append_rid_ = identity_prefix && columns_.size() == width + 1;
+    direct_fill_ = identity_prefix && (columns_.size() == width || append_rid_);
     // The scan knows its slots' declared types (the projected schema) —
     // the evidence the kernel compiler needs to prove comparisons
     // infallible and license selectivity reordering.
@@ -52,97 +52,60 @@ class ScanOp : public Operator {
                                ctx->storage()->GetTable(table_->name));
     storage_ = storage;
     scan_ = morsels_ == nullptr ? storage->NewScan() : nullptr;
-    block_pos_ = 0;
-    block_n_ = 0;
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    Row full;
-    Rid rid;
-    while (true) {
-      if (scan_ == nullptr) {
-        PageNo begin, end;
-        if (morsels_ == nullptr || !morsels_->Claim(&begin, &end)) {
-          return false;
-        }
-        scan_ = storage_->NewRangeScan(begin, end);
-      }
-      STARBURST_ASSIGN_OR_RETURN(bool more, scan_->Next(&full, &rid));
-      if (!more) {
-        if (morsels_ != nullptr) {
-          scan_.reset();  // morsel drained; claim the next one
-          continue;
-        }
-        return false;
-      }
-      bool pass = true;
-      // Predicates run against the *projected* row (slots follow
-      // scan_columns), per §2: functions are invoked "at low levels of
-      // the system" — here, inside the scan's predicate evaluator.
-      Row projected;
-      ProjectStoredRow(full, rid, columns_, &projected.values());
-      for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      *row = std::move(projected);
-      ++ctx_->stats().rows_emitted;
-      return true;
-    }
-  }
-
-  /// Batch-native path: refills a block of full rows straight from the
-  /// page scan (one page resolution per page, decode into reused row
-  /// storage), projects into the batch's slots, then filters the staged
-  /// batch column-at-a-time (interpreter when the kernels decline).
+  /// Refills straight from the page scan (one page resolution per page,
+  /// decode into reused row storage), asking for no more rows than the
+  /// batch has room for: a whole-row scan decodes into the batch's slots,
+  /// any other projects each decoded row into its slot. The predicates
+  /// then run against the projected rows — §2's functions invoked "at low
+  /// levels of the system", here inside the scan — column-at-a-time
+  /// (interpreter when the kernels decline), marking survivors in a
+  /// selection vector.
   Result<bool> NextBatchImpl(RowBatch* batch) override {
-    if (direct_fill_) return FillBatchDirect(batch);
-    if (block_.empty()) {
-      size_t target = std::min<size_t>(ctx_->batch_size(), kMaxBlock);
-      block_.resize(target);
-      block_rids_.resize(target);
-    }
+    if (rids_.size() < batch->capacity()) rids_.resize(batch->capacity());
+    const size_t block = std::min(batch->capacity(), kMaxBlock);
+    if (!direct_fill_ && block_.size() < block) block_.resize(block);
     while (true) {
       bool exhausted = false;
+      if (unchecked_rows_ >= ExecContext::kCancelCheckRows) {
+        STARBURST_RETURN_IF_ERROR(ctx_->CheckCancel());
+        unchecked_rows_ = 0;
+      }
       while (!batch->full()) {
-        if (block_pos_ >= block_n_) {
-          STARBURST_RETURN_IF_ERROR(ctx_->CheckCancel());
-          if (scan_ == nullptr) {
-            PageNo begin, end;
-            if (morsels_ == nullptr || !morsels_->Claim(&begin, &end)) {
-              exhausted = true;
-              break;
-            }
-            scan_ = storage_->NewRangeScan(begin, end);
-          }
-          STARBURST_ASSIGN_OR_RETURN(
-              block_n_, scan_->NextBlock(block_.data(), block_rids_.data(),
-                                         block_.size()));
-          block_pos_ = 0;
-          if (block_n_ == 0) {
-            if (morsels_ != nullptr) {
-              scan_.reset();  // morsel drained; claim the next one
-              continue;
-            }
+        if (scan_ == nullptr) {
+          PageNo begin, end;
+          if (morsels_ == nullptr || !morsels_->Claim(&begin, &end)) {
             exhausted = true;
             break;
           }
+          scan_ = storage_->NewRangeScan(begin, end);
         }
-        Row& full = block_[block_pos_];
-        Rid rid = block_rids_[block_pos_++];
-        Row* slot = batch->AppendSlot();
-        if (identity_prefix_ && full.size() == columns_.size()) {
-          // Whole-row projection: trade buffers with the block row so both
-          // sides keep reusable storage (no copies, no allocation).
-          slot->values().swap(full.values());
-        } else {
-          ProjectStoredRow(full, rid, columns_, &slot->values());
+        Row* slots = batch->raw_slots() + batch->physical_size();
+        STARBURST_ASSIGN_OR_RETURN(
+            size_t got,
+            direct_fill_
+                ? scan_->NextBlock(slots, rids_.data(), batch->remaining())
+                : scan_->NextBlock(block_.data(), rids_.data(),
+                                   std::min(block, batch->remaining())));
+        if (got == 0) {
+          if (morsels_ != nullptr) {
+            scan_.reset();  // morsel drained; claim the next one
+            continue;
+          }
+          exhausted = true;
+          break;
         }
+        for (size_t i = 0; i < got; ++i) {
+          if (!direct_fill_) {
+            ProjectStoredRow(block_[i], rids_[i], columns_, &slots[i].values());
+          } else if (append_rid_) {
+            slots[i].values().push_back(Value::Int(rids_[i].ToInt()));
+          }
+        }
+        batch->AdvanceFilled(got);
+        unchecked_rows_ += got;
       }
       STARBURST_RETURN_IF_ERROR(ApplyPredicates(batch));
       if (!batch->empty()) {
@@ -176,55 +139,6 @@ class ScanOp : public Operator {
     StatKernelRows(0, n);
     return FilterBatch(predicates_, batch, ctx_);
   }
-  /// Whole-row scans bypass the staging block: pages decode directly into
-  /// the batch's physical slots, and predicates mark survivors in a
-  /// selection vector instead of popping rejected slots one by one. The
-  /// batch must arrive cleared (it does: this is a leaf, and every caller
-  /// drains or clears between refills).
-  Result<bool> FillBatchDirect(RowBatch* batch) {
-    if (block_rids_.size() < batch->capacity()) {
-      block_rids_.resize(batch->capacity());
-    }
-    while (true) {
-      bool exhausted = false;
-      STARBURST_RETURN_IF_ERROR(ctx_->CheckCancel());
-      while (!batch->full()) {
-        if (scan_ == nullptr) {
-          PageNo begin, end;
-          if (morsels_ == nullptr || !morsels_->Claim(&begin, &end)) {
-            exhausted = true;
-            break;
-          }
-          scan_ = storage_->NewRangeScan(begin, end);
-        }
-        Row* slots = batch->raw_slots() + batch->physical_size();
-        STARBURST_ASSIGN_OR_RETURN(
-            size_t got,
-            scan_->NextBlock(slots, block_rids_.data(), batch->remaining()));
-        if (got == 0) {
-          if (morsels_ != nullptr) {
-            scan_.reset();  // morsel drained; claim the next one
-            continue;
-          }
-          exhausted = true;
-          break;
-        }
-        if (append_rid_) {
-          for (size_t i = 0; i < got; ++i) {
-            slots[i].values().push_back(Value::Int(block_rids_[i].ToInt()));
-          }
-        }
-        batch->AdvanceFilled(got);
-      }
-      STARBURST_RETURN_IF_ERROR(ApplyPredicates(batch));
-      if (!batch->empty()) {
-        ctx_->stats().rows_emitted += batch->size();
-        return true;
-      }
-      if (exhausted) return false;
-      batch->Clear();  // every staged row was rejected; refill
-    }
-  }
 
   /// Upper bound on the refill block so a huge SET batch_size cannot
   /// balloon the per-scan row buffer.
@@ -234,23 +148,21 @@ class ScanOp : public Operator {
   std::vector<size_t> columns_;
   std::vector<CompiledExprPtr> predicates_;
   parallel::MorselSource* morsels_;
-  /// True when columns_ is 0,1,2,...: projecting a full row is then a
-  /// buffer swap instead of a value-by-value copy.
-  bool identity_prefix_ = false;
-  /// True when the projection is the whole row: batched refills decode
-  /// pages directly into batch slots (see FillBatchDirect).
+  /// True when the projection is the whole row: refills decode pages
+  /// directly into batch slots.
   bool direct_fill_ = false;
   /// True when the whole row is followed by the hidden rid column.
   bool append_rid_ = false;
   ExecContext* ctx_ = nullptr;
   TableStorage* storage_ = nullptr;
   std::unique_ptr<TableScanIterator> scan_;
-  /// Batched path's refill block: full rows decoded in place, consumed
-  /// through [block_pos_, block_n_).
+  /// A projecting scan's refill block: full rows decoded in place, no
+  /// larger than the batch being filled.
   std::vector<Row> block_;
-  std::vector<Rid> block_rids_;
-  size_t block_pos_ = 0;
-  size_t block_n_ = 0;
+  std::vector<Rid> rids_;
+  /// Rows staged since the last cancel check; starts full so the first
+  /// refill checks.
+  size_t unchecked_rows_ = ExecContext::kCancelCheckRows;
   /// Compiled predicate kernels (null when no conjunct lowers); the
   /// generalization of the old per-batch PreparedPredicate fast path.
   std::unique_ptr<PredicateProgram> program_;
@@ -315,31 +227,33 @@ class IndexScanOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
+  /// Walks the index into the caller's batch: one heap fetch per entry,
+  /// predicates per row, and never an entry past the batch's room.
+  Result<bool> NextBatchImpl(RowBatch* batch) override {
     if (exhausted_ || iter_ == nullptr) return false;
     BTreeKey key;
     Rid rid;
-    while (iter_->Next(&key, &rid)) {
+    while (!batch->full()) {
+      if (!iter_->Next(&key, &rid)) {
+        exhausted_ = true;
+        break;
+      }
       // NULL keys sort first but never satisfy a bound comparison; an
       // unbounded (order-providing) scan must keep them.
       if (bound_ != nullptr && !key.empty() && key[0].is_null()) continue;
       STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(rid));
-      Row projected;
-      ProjectStoredRow(full, rid, columns_, &projected.values());
-      bool pass = true;
+      Row* slot = batch->AppendSlot();
+      ProjectStoredRow(full, rid, columns_, &slot->values());
       for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
+        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(*slot, ctx_));
         if (!ok) {
-          pass = false;
+          batch->PopLast();
           break;
         }
       }
-      if (!pass) continue;
-      *row = std::move(projected);
-      ++ctx_->stats().rows_emitted;
-      return true;
     }
-    return false;
+    ctx_->stats().rows_emitted += batch->size();
+    return !batch->empty();
   }
 
   void CloseImpl() override { iter_.reset(); }
@@ -368,17 +282,19 @@ class ValuesOp : public Operator {
     cell_ = 0;
     return Status::OK();
   }
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_];
+  Result<bool> NextBatchImpl(RowBatch* batch) override {
     static const Row kNoInput;
-    for (; cell_ < cells_.size() && cells_[cell_].row == pos_; ++cell_) {
-      STARBURST_ASSIGN_OR_RETURN(row->values()[cells_[cell_].column],
-                                 cells_[cell_].expr->Eval(kNoInput, ctx_));
+    while (!batch->full() && pos_ < rows_.size()) {
+      Row* row = batch->AppendSlot();
+      *row = rows_[pos_];
+      for (; cell_ < cells_.size() && cells_[cell_].row == pos_; ++cell_) {
+        STARBURST_ASSIGN_OR_RETURN(row->values()[cells_[cell_].column],
+                                   cells_[cell_].expr->Eval(kNoInput, ctx_));
+      }
+      ++pos_;
     }
-    ++pos_;
-    ++ctx_->stats().rows_emitted;
-    return true;
+    ctx_->stats().rows_emitted += batch->size();
+    return !batch->empty();
   }
   void CloseImpl() override {}
 
@@ -401,11 +317,6 @@ class IterRefOp : public Operator {
     }
     pos_ = 0;
     return Status::OK();
-  }
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= rows_->size()) return false;
-    *row = (*rows_)[pos_++];
-    return true;
   }
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     return FillBatchFromRows(*rows_, &pos_, batch);

@@ -90,12 +90,6 @@ class SetOpOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= results_.size()) return false;
-    *row = results_[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     return FillBatchFromRows(results_, &pos_, batch);
   }
@@ -131,12 +125,6 @@ class TableFuncOp : public Operator {
     STARBURST_ASSIGN_OR_RETURN(results_, def_->eval(tables, args_));
     pos_ = 0;
     return Status::OK();
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    if (pos_ >= results_.size()) return false;
-    *row = results_[pos_++];
-    return true;
   }
 
   Result<bool> NextBatchImpl(RowBatch* batch) override {

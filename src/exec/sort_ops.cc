@@ -149,13 +149,6 @@ class SortOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    if (merger_ != nullptr) return merger_->Next(row);
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     if (merger_ == nullptr) return FillBatchFromRows(rows_, &pos_, batch);
     while (!batch->full()) {
@@ -302,26 +295,15 @@ class DistinctOp : public Operator {
     DropState();
     ctx_ = ctx;
     tracker_.Configure(budget_, ctx->query_memory());
-    batch_size_ = ctx->batch_size();
-    scratch_.Reset(batch_size_);
-    scratch_pos_ = 0;
     return input_->Open(ctx);
-  }
-
-  Result<bool> NextImpl(Row* row) override {
-    if (scratch_pos_ >= scratch_.size()) {
-      scratch_.Clear();
-      STARBURST_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&scratch_));
-      if (!more) return false;
-      scratch_pos_ = 0;
-    }
-    *row = scratch_.row(scratch_pos_++);
-    return true;
   }
 
   Result<bool> NextBatchImpl(RowBatch* batch) override {
     while (input_phase_) {
-      STARBURST_RETURN_IF_ERROR(ctx_->CheckCancel());
+      if (unchecked_rows_ >= ExecContext::kCancelCheckRows) {
+        STARBURST_RETURN_IF_ERROR(ctx_->CheckCancel());
+        unchecked_rows_ = 0;
+      }
       STARBURST_ASSIGN_OR_RETURN(bool more, input_->NextBatch(batch));
       if (!more) {
         STARBURST_RETURN_IF_ERROR(FinishInputPhase());
@@ -329,6 +311,7 @@ class DistinctOp : public Operator {
       }
       std::vector<uint32_t> keep;
       size_t n = batch->size();
+      unchecked_rows_ += n;
       keep.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         const Row& r = batch->row(i);
@@ -444,16 +427,16 @@ class DistinctOp : public Operator {
   uint64_t budget_;
   ExecContext* ctx_ = nullptr;
   MemoryTracker tracker_;
-  size_t batch_size_ = RowBatch::kDefaultCapacity;
   std::unordered_set<Row, RowHash> seen_;
   bool frozen_ = false;
   bool input_phase_ = true;
+  /// Input rows since the last cancel check; starts full so the first
+  /// pull checks.
+  size_t unchecked_rows_ = ExecContext::kCancelCheckRows;
   Parts partitions_;
   std::deque<Pending> pending_;
   std::vector<Row> emit_;
   size_t emit_pos_ = 0;
-  RowBatch scratch_;  // NextImpl row-compat staging
-  size_t scratch_pos_ = 0;
 };
 
 }  // namespace

@@ -15,15 +15,6 @@ Status Operator::OpenTimed(ExecContext* ctx) {
   return st;
 }
 
-Result<bool> Operator::NextTimed(Row* row) {
-  double start = obs::NowUs();
-  Result<bool> more = NextImpl(row);
-  stats_->wall_us += obs::NowUs() - start;
-  ++stats_->next_calls;
-  if (more.ok() && *more) ++stats_->rows_out;
-  return more;
-}
-
 Result<bool> Operator::NextBatchTimed(RowBatch* batch) {
   double start = obs::NowUs();
   Result<bool> more = NextBatchImpl(batch);
@@ -37,18 +28,6 @@ void Operator::CloseTimed() {
   double start = obs::NowUs();
   CloseImpl();
   stats_->wall_us += obs::NowUs() - start;
-}
-
-Result<bool> Operator::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full()) {
-    Row* slot = batch->AppendSlot();
-    STARBURST_ASSIGN_OR_RETURN(bool more, NextImpl(slot));
-    if (!more) {
-      batch->PopLast();
-      break;
-    }
-  }
-  return !batch->empty();
 }
 
 Result<Value> ExecContext::LookupParam(const qgm::Quantifier* q,

@@ -64,9 +64,10 @@ class ExecContext {
   /// run and drop per-run memo state (e.g. subquery caches).
   uint64_t run_id() const { return run_id_; }
 
-  /// Rows a batched operator stages per NextBatch call. 1 pins exact
-  /// row-at-a-time behavior (`SET batch_size = 1`); set before Open —
-  /// operators size their staging batches when opened.
+  /// Capacity of the batches the engine drains a plan with and operators
+  /// drain or stage their inputs with (`SET batch_size`; 1 gives one-row
+  /// batches). Set before Open — operators size their staging batches
+  /// when opened.
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
 
@@ -83,6 +84,11 @@ class ExecContext {
   /// before Open; operators call CheckCancel() at batch boundaries (block
   /// refills, spill waves, merge passes — never per row). Ungoverned
   /// contexts (no token) pay one null compare.
+  ///
+  /// A streaming operator a join's RowCursor may pull one row at a time
+  /// checks once per kCancelCheckRows rows it stages instead, so small
+  /// batches do not read the deadline clock per row.
+  static constexpr size_t kCancelCheckRows = 1024;
   void set_cancel_token(CancelToken* token) { cancel_ = token; }
   CancelToken* cancel_token() const { return cancel_; }
   Status CheckCancel() {
@@ -177,35 +183,30 @@ class ExecContext {
 /// A QES operator (§7): "Each operator takes one or more streams of tuples
 /// as input and produces one or more streams of tuples (usually one) as
 /// output. We implement the concept of streams by lazy evaluation" — the
-/// classic open/next/close protocol, extended batch-at-a-time: NextBatch
-/// is the primary path and moves up to ExecContext::batch_size() tuples
+/// classic open/next/close protocol, batch-at-a-time: NextBatch is the one
+/// way an operator produces tuples, up to the caller's batch fill limit
 /// per call. Operators are re-openable: a dependent join re-Opens its
 /// inner stream per outer row under fresh parameters.
-///
-/// Every operator still implements the row protocol (NextImpl); batch-
-/// native operators additionally override NextBatchImpl. The default
-/// NextBatchImpl adapts row-at-a-time operators (subquery runtimes,
-/// recursion, quantified compares) into a batched pipeline by looping
-/// NextImpl — one-directional, so there is no shim recursion and no
-/// operator ever prefetches rows it was not asked for (EXPLAIN ANALYZE
-/// row counts stay exact at any batch size).
 ///
 /// NextBatch contract: the shim clears `batch` before dispatch; the impl
 /// stages up to batch->fill_limit() rows and the call returns true iff at
 /// least one *active* row was produced. false means end of stream with an
 /// empty batch; an impl must never return true with an empty batch (the
-/// driving loops use emptiness to terminate).
+/// driving loops use emptiness to terminate). A streaming operator pulls
+/// its input in batches no larger than its caller's fill limit, and one
+/// whose logic is per input row (the nested-loop and merge joins) reads
+/// that input through a RowCursor, one row per call. So a LIMIT does not
+/// overfetch through them, and EXPLAIN ANALYZE row counts are exact at
+/// any batch size (`SET BATCH_SIZE = 1` is only a capacity).
 ///
-/// The public Open/Next/NextBatch/Close entry points are non-virtual
-/// shims: with no stats sink attached (the default) they forward straight
-/// to the *Impl virtuals at the cost of one branch; with one attached
-/// (EXPLAIN ANALYZE, COLLECT_OP_STATS) they also count
-/// invocations, rows, and inclusive wall time. Batched calls amortize the
-/// accounting: one timestamp pair and one next_calls tick per batch,
-/// rows_out += the batch's row count. Subclasses implement OpenImpl/
-/// NextImpl/CloseImpl (and optionally NextBatchImpl) and call their
-/// children through the public protocol, so instrumentation composes
-/// through the whole tree.
+/// The public Open/NextBatch/Close entry points are non-virtual shims:
+/// with no stats sink attached (the default) they forward straight to the
+/// *Impl virtuals at the cost of one branch; with one attached (EXPLAIN
+/// ANALYZE, COLLECT_OP_STATS) they also count invocations, rows, and
+/// inclusive wall time — one timestamp pair and one next_calls tick per
+/// batch, rows_out += the batch's row count. Subclasses implement
+/// OpenImpl/NextBatchImpl/CloseImpl and call their children through the
+/// public protocol, so instrumentation composes through the whole tree.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -213,11 +214,6 @@ class Operator {
   Status Open(ExecContext* ctx) {
     if (stats_ == nullptr) return OpenImpl(ctx);
     return OpenTimed(ctx);
-  }
-  /// Produces the next tuple; false at end of stream.
-  Result<bool> Next(Row* row) {
-    if (stats_ == nullptr) return NextImpl(row);
-    return NextTimed(row);
   }
   /// Produces the next batch of tuples; false at end of stream (with
   /// `batch` left empty). The batch is cleared on entry; its capacity and
@@ -241,11 +237,7 @@ class Operator {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(Row* row) = 0;
-  /// Row-compat adapter: fills `batch` by looping NextImpl. Batch-native
-  /// operators override this; they must still implement NextImpl (used
-  /// by row-at-a-time consumers like dependent nested-loop joins).
-  virtual Result<bool> NextBatchImpl(RowBatch* batch);
+  virtual Result<bool> NextBatchImpl(RowBatch* batch) = 0;
   virtual void CloseImpl() = 0;
 
   /// Spill/memory accounting hooks for blocking operators; no-ops when no
@@ -279,11 +271,30 @@ class Operator {
 
  private:
   Status OpenTimed(ExecContext* ctx);
-  Result<bool> NextTimed(Row* row);
   Result<bool> NextBatchTimed(RowBatch* batch);
   void CloseTimed();
 
   obs::OperatorStats* stats_ = nullptr;
+};
+
+/// Reads an input one row at a time, for an operator whose logic is per
+/// input row (the nested-loop and merge joins). Each Next is one
+/// NextBatch call into a one-slot batch, so the input stages exactly the
+/// rows consumed: its EXPLAIN ANALYZE counts are one call per row plus
+/// the end-of-stream call, whatever the query's batch size.
+class RowCursor {
+ public:
+  RowCursor() : slot_(1) {}
+
+  /// Moves `input`'s next row into *row; false at end of stream.
+  Result<bool> Next(Operator* input, Row* row) {
+    STARBURST_ASSIGN_OR_RETURN(bool more, input->NextBatch(&slot_));
+    if (more) *row = std::move(slot_.row(0));
+    return more;
+  }
+
+ private:
+  RowBatch slot_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

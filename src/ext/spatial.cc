@@ -254,25 +254,21 @@ class RTreeScanOp : public exec::Operator {
     return Status::OK();
   }
 
-  Result<bool> NextImpl(Row* row) override {
-    while (pos_ < matches_.size()) {
+  Result<bool> NextBatchImpl(RowBatch* batch) override {
+    while (!batch->full() && pos_ < matches_.size()) {
       Rid rid = matches_[pos_++];
       STARBURST_ASSIGN_OR_RETURN(Row full, storage_->Fetch(rid));
-      Row projected;
-      exec::ProjectStoredRow(full, rid, columns_, &projected.values());
-      bool pass = true;
+      Row* slot = batch->AppendSlot();
+      exec::ProjectStoredRow(full, rid, columns_, &slot->values());
       for (const CompiledExprPtr& p : predicates_) {
-        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(projected, ctx_));
+        STARBURST_ASSIGN_OR_RETURN(bool ok, p->EvalPredicate(*slot, ctx_));
         if (!ok) {
-          pass = false;
+          batch->PopLast();
           break;
         }
       }
-      if (!pass) continue;
-      *row = std::move(projected);
-      return true;
     }
-    return false;
+    return !batch->empty();
   }
 
   void CloseImpl() override { matches_.clear(); }

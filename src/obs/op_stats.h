@@ -10,9 +10,9 @@
 namespace starburst::obs {
 
 /// Runtime counters one QES operator accumulates across its lifetime:
-/// (re-)opens, Next invocations, rows produced, and inclusive wall time
-/// spent inside Open/Next/Close (children included — subtract child time
-/// for self time).
+/// (re-)opens, NextBatch calls, rows produced, and inclusive wall time
+/// spent inside Open/NextBatch/Close (children included — subtract child
+/// time for self time).
 ///
 /// Counters are atomic because parallel pipeline clones share one stats
 /// node per plan node, so EXPLAIN ANALYZE aggregates across workers

@@ -143,13 +143,6 @@ Result<std::vector<PlanPtr>> JoinEnumerator::Enumerate(
     for (int size = 2; size <= static_cast<int>(n); ++size) {
       for (Mask mask = 1; mask <= full; ++mask) {
         if (PopCount(mask) != size) continue;
-        // Predicates first fully available at this set.
-        std::vector<const Expr*> mask_preds;
-        for (size_t p = 0; p < predicates.size(); ++p) {
-          if (supp[p] != 0 && (supp[p] & ~mask) == 0) {
-            mask_preds.push_back(predicates[p]);
-          }
-        }
         std::vector<PlanPtr>& kept = table[mask];
         // Enumerate splits: outer = sub, inner = mask \ sub.
         for (Mask sub = (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask) {
@@ -202,7 +195,6 @@ Result<std::vector<PlanPtr>> JoinEnumerator::Enumerate(
           }
         }
         if (!kept.empty()) ++stats_.sets_built;
-        (void)mask_preds;
       }
     }
     if (!table[full].empty()) break;

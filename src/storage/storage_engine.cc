@@ -1,5 +1,8 @@
 #include "storage/storage_engine.h"
 
+#include <algorithm>
+#include <numeric>
+
 namespace starburst {
 
 Status StorageEngine::CreateTable(const TableDef& def) {
@@ -130,31 +133,95 @@ Result<Row> StorageEngine::DeleteRow(const std::string& table_name, Rid rid) {
   return row;
 }
 
-Result<Rid> StorageEngine::UpdateRow(const std::string& table_name, Rid rid,
-                                     const Row& row) {
+Result<std::vector<Rid>> StorageEngine::UpdateRows(
+    const std::string& table_name, const std::vector<size_t>& columns,
+    const std::vector<RowUpdate>& updates, CancelToken* cancel) {
   STARBURST_ASSIGN_OR_RETURN(TableStorage * table, GetTable(table_name));
-  STARBURST_ASSIGN_OR_RETURN(Row old_row, table->Fetch(rid));
-  STARBURST_ASSIGN_OR_RETURN(Rid new_rid, table->Update(rid, row));
-  // Every old key leaves before any new key enters, so a row may keep its
-  // own unique key. A failure puts back the keys moved so far and the
-  // heap row (under whatever rid it lands on).
+  const size_t end_column =
+      columns.empty() ? 0 : *std::max_element(columns.begin(), columns.end()) + 1;
+  std::vector<Row> old_rows;
+  old_rows.reserve(updates.size());
+  for (const RowUpdate& u : updates) {
+    STARBURST_ASSIGN_OR_RETURN(Row old_row, table->Fetch(u.rid));
+    if (old_row.size() < end_column) {
+      return Status::InvalidArgument("update column out of range");
+    }
+    old_rows.push_back(std::move(old_row));
+  }
+  auto new_row = [&](size_t r) {
+    Row row = old_rows[r];
+    for (size_t c = 0; c < columns.size(); ++c) {
+      row[columns[c]] = updates[r].values[c];
+    }
+    return row;
+  };
+  auto check = [&](size_t r) {
+    return cancel != nullptr && r % kCancelCheckRows == 0 ? cancel->Check()
+                                                          : Status::OK();
+  };
+  // Every old key leaves every attachment, then each row changes in the
+  // heap and its new keys go in. Keys are counted row by row, so a failure
+  // undoes exactly what was done, in reverse.
   std::vector<Attachment*> atts = AttachmentsOn(table_name);
+  const size_t width = atts.size();
+  auto keys_of_row = [&](size_t count, size_t r) {
+    return count > r * width ? std::min(width, count - r * width) : 0;
+  };
+  std::vector<Rid> rids;
+  rids.reserve(updates.size());
   size_t removed = 0, inserted = 0;
   Status st;
-  while (st.ok() && removed < atts.size()) {
-    st = atts[removed]->OnDelete(old_row, rid);
-    removed += st.ok() ? 1 : 0;
+  for (size_t r = 0; st.ok() && r < updates.size(); ++r) {
+    st = check(r);
+    for (size_t a = 0; st.ok() && a < width; ++a) {
+      st = atts[a]->OnDelete(old_rows[r], updates[r].rid);
+      removed += st.ok() ? 1 : 0;
+    }
   }
-  while (st.ok() && inserted < atts.size()) {
-    st = atts[inserted]->OnInsert(row, new_rid);
-    inserted += st.ok() ? 1 : 0;
+  for (size_t r = 0; st.ok() && r < updates.size(); ++r) {
+    st = check(r);
+    if (!st.ok()) break;
+    Row row = new_row(r);
+    Result<Rid> moved = table->Update(updates[r].rid, row);
+    st = moved.status();
+    if (!st.ok()) break;
+    rids.push_back(*moved);
+    for (size_t a = 0; st.ok() && a < width; ++a) {
+      st = atts[a]->OnInsert(row, *moved);
+      inserted += st.ok() ? 1 : 0;
+    }
   }
-  if (st.ok()) return new_rid;
-  while (inserted > 0) (void)atts[--inserted]->OnDelete(row, new_rid);
-  Result<Rid> restored = table->Update(new_rid, old_row);
-  Rid old_rid = restored.ok() ? *restored : new_rid;
-  while (removed > 0) (void)atts[--removed]->OnInsert(old_row, old_rid);
+  // A deadline that passed while the last rows changed fails it too.
+  if (st.ok() && cancel != nullptr) st = cancel->Check();
+  if (st.ok()) return rids;
+  // The heap may put a restored row under a new rid; its old keys follow.
+  std::vector<Rid> old_rids;
+  old_rids.reserve(updates.size());
+  for (const RowUpdate& u : updates) old_rids.push_back(u.rid);
+  for (size_t r = rids.size(); r-- > 0;) {
+    Row row = new_row(r);
+    for (size_t a = keys_of_row(inserted, r); a-- > 0;) {
+      (void)atts[a]->OnDelete(row, rids[r]);
+    }
+    Result<Rid> restored = table->Update(rids[r], old_rows[r]);
+    old_rids[r] = restored.ok() ? *restored : rids[r];
+  }
+  for (size_t r = updates.size(); r-- > 0;) {
+    for (size_t a = keys_of_row(removed, r); a-- > 0;) {
+      (void)atts[a]->OnInsert(old_rows[r], old_rids[r]);
+    }
+  }
   return st;
+}
+
+Result<Rid> StorageEngine::UpdateRow(const std::string& table_name, Rid rid,
+                                     const Row& row) {
+  std::vector<size_t> columns(row.size());
+  std::iota(columns.begin(), columns.end(), 0);
+  STARBURST_ASSIGN_OR_RETURN(
+      std::vector<Rid> rids,
+      UpdateRows(table_name, columns, {RowUpdate{rid, row.values()}}));
+  return rids[0];
 }
 
 }  // namespace starburst

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/cancel.h"
 #include "storage/attachment.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
@@ -43,12 +44,32 @@ class StorageEngine {
   std::vector<Attachment*> AttachmentsOn(const std::string& table_name);
 
   // -- mutations with attachment maintenance --
-  // InsertRow and UpdateRow are all-or-nothing: on failure (a duplicate
-  // unique key) the heap and every attachment are as they were.
+  // InsertRow, UpdateRows and UpdateRow are all-or-nothing: on failure (a
+  // duplicate unique key) the heap and every attachment are as they were.
   Result<Rid> InsertRow(const std::string& table_name, const Row& row);
   /// Returns the row it removed.
   Result<Row> DeleteRow(const std::string& table_name, Rid rid);
-  /// Returns the row's rid after the update (the heap may move it).
+  /// One row an UpdateRows call changes: where it is and the new value of
+  /// each updated column.
+  struct RowUpdate {
+    Rid rid;
+    std::vector<Value> values;
+  };
+  /// Rows UpdateRows changes between checks of its cancel token.
+  static constexpr size_t kCancelCheckRows = 256;
+  /// Sets `columns` of every row to its `values` as one change, so keys
+  /// are checked against the final state as SQL checks a statement's:
+  /// every old key leaves every attachment, then the heap rows change and
+  /// their new keys go in (`SET id = id + 1` over ids 1, 2, 3 passes).
+  /// Each row is fetched once. `cancel`, when given, is checked every
+  /// kCancelCheckRows rows of each step and once at the end; a KILL or an
+  /// expired deadline fails the update like a duplicate key. Returns each
+  /// row's rid after the update, in order (the heap may move a row).
+  Result<std::vector<Rid>> UpdateRows(const std::string& table_name,
+                                      const std::vector<size_t>& columns,
+                                      const std::vector<RowUpdate>& updates,
+                                      CancelToken* cancel = nullptr);
+  /// UpdateRows of one whole row.
   Result<Rid> UpdateRow(const std::string& table_name, Rid rid, const Row& row);
 
   BufferPool& buffer_pool() { return pool_; }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/database.h"
@@ -29,6 +31,34 @@ std::vector<Row> Sorted(std::vector<Row> rows) {
   std::sort(rows.begin(), rows.end(), RowTotalLess{});
   return rows;
 }
+
+/// An access method that keys nothing and, while `slow` is set, takes a
+/// millisecond per key insert, so an UPDATE's apply step outlasts a short
+/// statement deadline.
+class SlowAttachment : public Attachment {
+ public:
+  explicit SlowAttachment(IndexDef def) : def_(std::move(def)) {}
+  const IndexDef& def() const override { return def_; }
+  Status OnInsert(const Row&, Rid) override {
+    if (slow) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++slow_inserts;
+    }
+    ++keys;
+    return Status::OK();
+  }
+  Status OnDelete(const Row&, Rid) override {
+    --keys;
+    return Status::OK();
+  }
+
+  bool slow = false;
+  int slow_inserts = 0;
+  int keys = 0;
+
+ private:
+  IndexDef def_;
+};
 
 class DmlTest : public ::testing::Test {
  protected:
@@ -89,11 +119,31 @@ TEST_F(DmlTest, FailedKeyUpdateLeavesHeapAndIndexIntact) {
   EXPECT_EQ(dup.status().code(), StatusCode::kAlreadyExists);
   ExpectRowsAndIndexAgree("u", original);
 
-  // Ascending rid order moves id 1 onto the still-present id 2.
-  Result<ResultSet> shift = db_.Execute("UPDATE u SET id = id + 1");
-  ASSERT_FALSE(shift.ok());
-  EXPECT_EQ(shift.status().code(), StatusCode::kAlreadyExists);
+  // Ids 2 and 3 both become 1, which row 1 still holds.
+  Result<ResultSet> onto = db_.Execute("UPDATE u SET id = 1 WHERE id > 1");
+  ASSERT_FALSE(onto.ok());
+  EXPECT_EQ(onto.status().code(), StatusCode::kAlreadyExists);
   ExpectRowsAndIndexAgree("u", original);
+}
+
+TEST_F(DmlTest, KeyUpdateChecksKeysAtTheEndOfTheStatement) {
+  Exec("CREATE TABLE u (id INT NOT NULL, v INT)");
+  Exec("CREATE UNIQUE INDEX u_id ON u (id)");
+  Exec("INSERT INTO u VALUES (1, 10), (2, 20), (3, 30)");
+  // In rid order, id 1 moves onto the still-present id 2; only the
+  // statement's final state counts.
+  Exec("UPDATE u SET id = id + 1");
+  ExpectRowsAndIndexAgree("u", {Row({Value::Int(2), Value::Int(10)}),
+                                Row({Value::Int(3), Value::Int(20)}),
+                                Row({Value::Int(4), Value::Int(30)})});
+
+  Exec("CREATE TABLE w (id INT NOT NULL, v INT)");
+  Exec("CREATE UNIQUE INDEX w_id ON w (id)");
+  Exec("INSERT INTO w VALUES (1, 10), (2, 20), (3, 30)");
+  Exec("UPDATE w SET id = 4 - id");
+  ExpectRowsAndIndexAgree("w", {Row({Value::Int(3), Value::Int(10)}),
+                                Row({Value::Int(2), Value::Int(20)}),
+                                Row({Value::Int(1), Value::Int(30)})});
 }
 
 TEST_F(DmlTest, FailedInsertLeavesNoKeyInAnEarlierIndex) {
@@ -137,10 +187,10 @@ TEST_F(DmlTest, MultiRowUpdateIsAtomic) {
     original.push_back(Row({Value::Int(i), Value::Int(i * 10)}));
   }
   Exec("INSERT INTO a VALUES " + values);
-  // Rows 1-4 move out of the way, then row 5 collides with row 10, which
-  // has not been changed yet.
+  // Every row moves, and rows 5 and 10 both move to 110: the new keys
+  // collide only after rows 1-9's have gone in.
   Result<ResultSet> r = db_.Execute(
-      "UPDATE a SET id = CASE WHEN id = 5 THEN 10 ELSE id + 100 END, "
+      "UPDATE a SET id = CASE WHEN id = 5 THEN 110 ELSE id + 100 END, "
       "v = v + 1");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
@@ -234,6 +284,43 @@ TEST_F(DmlTest, InsertValuesHonoursTheStatementTimeout) {
   // Without the deadline the same statement goes in whole.
   Exec(sql);
   EXPECT_EQ(Q("SELECT COUNT(*) FROM t")[0][0], Value::Int(5000));
+}
+
+TEST_F(DmlTest, UpdateHonoursTheStatementTimeoutWhileItChangesRows) {
+  ASSERT_TRUE(db_.storage()
+                  .attachment_kinds()
+                  .Register("SLOW",
+                            [](const IndexDef& def, const TableSchema&)
+                                -> Result<std::unique_ptr<Attachment>> {
+                              return std::unique_ptr<Attachment>(
+                                  new SlowAttachment(def));
+                            })
+                  .ok());
+  Exec("CREATE TABLE u (id INT NOT NULL, v INT)");
+  Exec("CREATE UNIQUE INDEX u_id ON u (id)");
+  Exec("CREATE INDEX u_slow ON u (v) USING SLOW");
+  std::string values;
+  std::vector<Row> original;
+  for (int i = 1; i <= 300; ++i) {
+    values += std::string(i > 1 ? ", " : "") + "(" + std::to_string(i) +
+              ", " + std::to_string(i * 10) + ")";
+    original.push_back(Row({Value::Int(i), Value::Int(i * 10)}));
+  }
+  Exec("INSERT INTO u VALUES " + values);
+  Exec("ANALYZE u");  // so point lookups pick the unique index
+  auto* slow = dynamic_cast<SlowAttachment*>(*db_.storage().GetIndex("u_slow"));
+  ASSERT_NE(slow, nullptr);
+  slow->slow = true;
+  Exec("SET STATEMENT_TIMEOUT_MS = 150");
+  Result<ResultSet> r = db_.Execute("UPDATE u SET id = id + 1, v = v + 1");
+  Exec("SET STATEMENT_TIMEOUT_MS = DEFAULT");
+  slow->slow = false;
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTimeout) << r.status().ToString();
+  // The deadline passed while new keys went in, and everything came back.
+  EXPECT_GT(slow->slow_inserts, 0);
+  EXPECT_EQ(slow->keys, 300);
+  ExpectRowsAndIndexAgree("u", original);
 }
 
 TEST_F(DmlTest, ParallelDmlScanFillsRidsUnderGather) {

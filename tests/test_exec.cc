@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "engine/database.h"
 #include "exec/operators.h"
 #include "qgm/box.h"
@@ -239,8 +241,8 @@ TEST_F(JoinKindTest, NlScalarKind) {
   auto bad =
       exec::MakeNlJoinOp(Outer(), std::move(bad_inner), std::move(bad_spec));
   ASSERT_TRUE(bad->Open(&ctx_).ok());
-  Row out;
-  EXPECT_FALSE(bad->Next(&out).ok());
+  RowBatch batch(RowBatch::kDefaultCapacity);
+  EXPECT_FALSE(bad->NextBatch(&batch).ok());
   bad->Close();
 }
 
@@ -406,6 +408,138 @@ TEST_F(JoinKindTest, MergeJoinRejectsUnsupportedKinds) {
   auto merge2 =
       exec::MakeMergeJoinOp(Outer(), Inner(), {{0, 0}}, std::move(quant));
   EXPECT_FALSE(merge2->Open(&ctx_).ok());
+}
+
+// ---------------------------------------------------------------------------
+// What a join reads: the nested-loop join reads both inputs, and the merge
+// join its outer, one row at a time. Each such input is pulled for exactly
+// the rows the join's output needs, so its counts are the same at every
+// batch size and a LIMIT above the join never overfetches.
+// ---------------------------------------------------------------------------
+
+class JoinInputTest : public ExecOpTest {
+ protected:
+  /// rows_out and next_calls an input must show.
+  struct Pulls {
+    uint64_t rows = 0;
+    uint64_t calls = 0;
+  };
+  using MakeJoin =
+      std::function<OperatorPtr(obs::OperatorStats*, obs::OperatorStats*)>;
+
+  /// 1, 2, 3, 5, 6, 7, 8, 9, 10: a FILTER over 1..10 that drops 4 by
+  /// narrowing the selection vector of the batch it is handed.
+  static OperatorPtr FilteredOuter(obs::OperatorStats* stats) {
+    std::vector<Row> rows;
+    for (int i = 1; i <= 10; ++i) rows.push_back(R({Value::Int(i)}));
+    std::vector<CompiledExprPtr> preds;
+    preds.push_back(Cmp(ast::BinaryOp::kNe, Slot(0), Lit(Value::Int(4))));
+    OperatorPtr op = exec::MakeFilterOp(exec::MakeValuesOp(std::move(rows)),
+                                        std::move(preds));
+    op->set_stats(stats);
+    return op;
+  }
+  /// 2, 3, 5, 6, 9: a DISTINCT over 2, 3, 3, 5, 6, 6, 9.
+  static OperatorPtr DistinctInner(obs::OperatorStats* stats) {
+    std::vector<Row> rows;
+    for (int v : {2, 3, 3, 5, 6, 6, 9}) rows.push_back(R({Value::Int(v)}));
+    OperatorPtr op = exec::MakeDistinctOp(exec::MakeValuesOp(std::move(rows)));
+    op->set_stats(stats);
+    return op;
+  }
+  /// outer.0 = inner.0, of `kind`.
+  static JoinSpec EqSpec(JoinKind kind) {
+    JoinSpec spec;
+    spec.kind = kind;
+    spec.inner_width = 1;
+    spec.predicates.push_back(Cmp(ast::BinaryOp::kEq, Slot(0), Slot(1)));
+    return spec;
+  }
+  static MakeJoin Nl(JoinKind kind) {
+    return [kind](obs::OperatorStats* outer, obs::OperatorStats* inner) {
+      return exec::MakeNlJoinOp(FilteredOuter(outer), DistinctInner(inner),
+                                EqSpec(kind));
+    };
+  }
+  /// The merge join drains its inner at Open; only its outer is read a
+  /// row at a time, so the inner gets no stats.
+  static MakeJoin Merge(JoinKind kind) {
+    return [kind](obs::OperatorStats* outer, obs::OperatorStats*) {
+      JoinSpec spec = EqSpec(kind);
+      spec.predicates.clear();
+      return exec::MakeMergeJoinOp(FilteredOuter(outer), DistinctInner(nullptr),
+                                   {{0, 0}}, std::move(spec));
+    };
+  }
+
+  /// Drains a fresh join under LIMIT `limit` at batch sizes 1, 7 and 1024:
+  /// the same `rows` come out each time, and the inputs show `outer` and
+  /// `inner` pulls.
+  void ExpectPulls(const MakeJoin& make, int64_t limit, size_t rows,
+                   Pulls outer, Pulls inner) {
+    std::vector<Row> first;
+    for (size_t batch : {1, 7, 1024}) {
+      SCOPED_TRACE("batch size " + std::to_string(batch));
+      obs::OperatorStats outer_stats, inner_stats;
+      OperatorPtr root =
+          exec::MakeLimitOp(make(&outer_stats, &inner_stats), limit);
+      ctx_.set_batch_size(batch);
+      ASSERT_TRUE(root->Open(&ctx_).ok());
+      Result<std::vector<Row>> out =
+          exec::DrainOperator(root.get(), batch, 0, &ctx_);
+      root->Close();
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(out->size(), rows);
+      if (batch == 1) first = *out;
+      EXPECT_EQ(*out, first);
+      EXPECT_EQ(outer_stats.rows_out, outer.rows);
+      EXPECT_EQ(outer_stats.next_calls, outer.calls);
+      EXPECT_EQ(inner_stats.rows_out, inner.rows);
+      EXPECT_EQ(inner_stats.next_calls, inner.calls);
+    }
+  }
+};
+
+// Outer 1, 2, 3, 5, ...; inner 2, 3, 5, 6, 9. A full inner pass is 5 rows
+// in 6 calls (the last one finds the end).
+
+TEST_F(JoinInputTest, NlRegularStopsMidInnerPass) {
+  // Outers 1, 2, 3 read the inner through; outer 5 stops at inner 5,
+  // the third match.
+  ExpectPulls(Nl(JoinKind::kRegular), 3, 3, {4, 4}, {3 * 5 + 3, 3 * 6 + 3});
+}
+
+TEST_F(JoinInputTest, NlLeftOuterPadsAfterAFullPass) {
+  // 1 pads, 2, 3, 5 match and read on to the end, 6 stops at its match.
+  ExpectPulls(Nl(JoinKind::kLeftOuter), 5, 5, {5, 5}, {4 * 5 + 4, 4 * 6 + 4});
+}
+
+TEST_F(JoinInputTest, NlExistsStopsAtTheFirstMatch) {
+  // 1 reads the inner through; 2 and 3 stop at their match.
+  ExpectPulls(Nl(JoinKind::kExists), 2, 2, {3, 3}, {5 + 1 + 2, 6 + 1 + 2});
+}
+
+TEST_F(JoinInputTest, NlAntiReadsThroughOnlyUnmatchedOuters) {
+  // 1, 7 and 8 qualify after full passes; 2, 3, 5, 6 stop at a match.
+  ExpectPulls(Nl(JoinKind::kAnti), 3, 3, {7, 7},
+              {3 * 5 + 1 + 2 + 3 + 4, 3 * 6 + 1 + 2 + 3 + 4});
+}
+
+TEST_F(JoinInputTest, NlScalarReadsTheWholeInnerPerOuter) {
+  ExpectPulls(Nl(JoinKind::kScalar), 3, 3, {3, 3}, {3 * 5, 3 * 6});
+}
+
+TEST_F(JoinInputTest, MergeReadsItsOuterOneRowAtATime) {
+  ExpectPulls(Merge(JoinKind::kRegular), 3, 3, {4, 4}, {0, 0});
+  // 1 and 7 pad.
+  ExpectPulls(Merge(JoinKind::kLeftOuter), 6, 6, {6, 6}, {0, 0});
+}
+
+TEST_F(JoinInputTest, DrainedJoinPullsItsOuterOnceAtTheEnd) {
+  // Joins 2, 3, 5, 6, 9 under a LIMIT it never reaches: every outer row
+  // is read, then one call finds the end and the join asks no more.
+  ExpectPulls(Nl(JoinKind::kRegular), 100, 5, {9, 10}, {9 * 5, 9 * 6});
+  ExpectPulls(Merge(JoinKind::kRegular), 100, 5, {9, 10}, {0, 0});
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 #include "engine/database.h"
 #include "engine/plan_cache.h"
 #include "engine/settings.h"
-#include "exec/executor.h"
+#include "exec/plan_refiner.h"
 
 namespace starburst {
 namespace {
@@ -111,7 +111,7 @@ TEST_F(PlanCacheTest, KnobChangeMissesInsteadOfInvalidating) {
   // The default parallelism is the host's core count, so both values
   // below are taken from it rather than written as constants.
   const size_t default_parallelism =
-      exec::Executor::Options::DefaultParallelism();
+      exec::ExecOptions::DefaultParallelism();
   Run(q);
   // Setting a knob to the value already in effect is not a knob change.
   Run("SET PARALLELISM = " + std::to_string(default_parallelism));
