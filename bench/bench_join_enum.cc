@@ -5,7 +5,8 @@
 // ("bushy trees") and Cartesian products.
 //
 // Chain / star / clique join topologies, n = 2..10 tables: pairs
-// considered, plans retained, optimize time — with each pruning toggle.
+// considered, plans retained, candidate plans costed and built, optimize
+// time — with each pruning toggle. Exits 1 if any query fails to optimize.
 
 #include "bench_util.h"
 #include "parser/parser.h"
@@ -60,14 +61,15 @@ int main() {
   }
   rewrite::RuleEngine engine = rewrite::MakeDefaultRuleEngine();
 
-  std::printf("E4: join enumeration effort vs. tables, per topology\n");
-  std::printf("%-7s %3s | %10s %9s %9s | %10s %9s %9s\n", "shape", "n",
-              "bushy:pairs", "plans", "time us", "deep:pairs", "plans",
-              "time us");
+  std::printf("E4: join enumeration effort vs. tables, per topology "
+              "(kept: plans kept; costed/built: candidate plans)\n");
+  std::printf("%-6s %2s | %11s %7s %8s %7s %8s | %10s %6s %7s %6s %7s\n",
+              "shape", "n", "bushy:pairs", "kept", "costed", "built",
+              "time us", "deep:pairs", "kept", "costed", "built", "time us");
   for (const std::string topology : {"chain", "star", "clique"}) {
     for (int n : {2, 4, 6, 8, 10}) {
       auto parsed = Parser::ParseQueryText(TopologyQuery(topology, n));
-      double row[2][3];
+      double row[2][5];
       for (int mode = 0; mode < 2; ++mode) {
         qgm::Binder binder(&catalog);
         auto graph = binder.BindQuery(**parsed);
@@ -84,13 +86,18 @@ int main() {
                        plan.status().ToString().c_str());
           return 1;
         }
-        row[mode][0] = static_cast<double>(opt.stats().enumerator.pairs_considered);
-        row[mode][1] = static_cast<double>(opt.stats().enumerator.plans_kept);
-        row[mode][2] = us;
+        const optimizer::Optimizer::Stats& stats = opt.stats();
+        row[mode][0] = static_cast<double>(stats.enumerator.pairs_considered);
+        row[mode][1] = static_cast<double>(stats.enumerator.plans_kept);
+        row[mode][2] = static_cast<double>(stats.generator.plans_generated);
+        row[mode][3] = static_cast<double>(stats.generator.plans_built);
+        row[mode][4] = us;
       }
-      std::printf("%-7s %3d | %10.0f %9.0f %9.0f | %10.0f %9.0f %9.0f\n",
-                  topology.c_str(), n, row[0][0], row[0][1], row[0][2],
-                  row[1][0], row[1][1], row[1][2]);
+      std::printf(
+          "%-6s %2d | %11.0f %7.0f %8.0f %7.0f %8.0f | %10.0f %6.0f %7.0f "
+          "%6.0f %7.0f\n",
+          topology.c_str(), n, row[0][0], row[0][1], row[0][2], row[0][3],
+          row[0][4], row[1][0], row[1][1], row[1][2], row[1][3], row[1][4]);
     }
   }
 

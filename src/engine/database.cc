@@ -819,6 +819,14 @@ Result<ResultSet> Database::RunExplainReport(const ast::ExplainStatement& stmt) 
                   m.parse_us, m.bind_us, m.rewrite_us, m.optimize_us,
                   m.refine_us, m.execute_us);
     line(buf);
+    const optimizer::Optimizer::Stats& opt = m.optimizer_stats;
+    std::snprintf(buf, sizeof(buf),
+                  "optimizer: %llu join pairs, %llu candidates costed, "
+                  "%llu built, %llu kept",
+                  u(opt.enumerator.pairs_considered),
+                  u(opt.generator.plans_generated),
+                  u(opt.generator.plans_built), u(opt.enumerator.plans_kept));
+    line(buf);
     std::snprintf(buf, sizeof(buf),
                   "kernel programs: %llu compiled, %llu fully vectorized",
                   u(m.kernel_programs), u(m.kernel_programs_full));

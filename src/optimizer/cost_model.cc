@@ -184,35 +184,30 @@ double CostModel::GroupCount(const std::vector<qgm::ExprPtr>& keys,
   return std::max(1.0, std::min(product, input_rows));
 }
 
-bool CostModel::KindEmitsOuterOnly(JoinKind k) const {
-  return k == JoinKind::kExists || k == JoinKind::kAnti ||
-         k == JoinKind::kOpAll || k == JoinKind::kSetPred;
+double CostModel::JoinCardinality(JoinKind kind, double outer_rows,
+                                  double inner_rows,
+                                  double join_selectivity) const {
+  switch (kind) {
+    case JoinKind::kExists:
+    case JoinKind::kAnti:
+    case JoinKind::kOpAll:
+    case JoinKind::kSetPred:
+      return outer_rows * 0.5;
+    case JoinKind::kScalar:
+      return outer_rows;
+    case JoinKind::kLeftOuter:
+      // Every outer row survives.
+      return std::max(outer_rows * inner_rows * join_selectivity, outer_rows);
+    case JoinKind::kRegular:
+    default:
+      return std::max(outer_rows * inner_rows * join_selectivity, 0.0);
+  }
 }
 
 double CostModel::JoinOutputCard(const Plan& p) const {
-  double outer = p.inputs[0]->props.cardinality;
-  double inner = p.inputs[1]->props.cardinality;
-  switch (p.join_kind) {
-    case JoinKind::kExists:
-      return outer * 0.5;
-    case JoinKind::kAnti:
-      return outer * 0.5;
-    case JoinKind::kOpAll:
-    case JoinKind::kSetPred:
-      return outer * 0.5;
-    case JoinKind::kScalar:
-      return outer;
-    case JoinKind::kLeftOuter: {
-      std::vector<const Expr*> preds = p.predicates;
-      double matched = outer * inner * CombinedSelectivity(preds);
-      return std::max(matched, outer);  // every outer row survives
-    }
-    case JoinKind::kRegular:
-    default: {
-      std::vector<const Expr*> preds = p.predicates;
-      return std::max(outer * inner * CombinedSelectivity(preds), 0.0);
-    }
-  }
+  return JoinCardinality(p.join_kind, p.inputs[0]->props.cardinality,
+                         p.inputs[1]->props.cardinality,
+                         CombinedSelectivity(p.predicates));
 }
 
 void CostModel::FinishScan(Plan* p) const {
@@ -303,51 +298,22 @@ void CostModel::FinishSort(Plan* p) const {
 }
 
 void CostModel::FinishNlJoin(Plan* p) const {
-  const PlanProps& outer = p->inputs[0]->props;
-  const PlanProps& inner = p->inputs[1]->props;
-  p->props.cardinality = JoinOutputCard(*p);
-  double rescans = std::max(outer.cardinality, 1.0);
-  p->props.cost = outer.cost + inner.cost +
-                  (rescans - 1) * inner.rescan_cost +
-                  outer.cardinality * inner.cardinality *
-                      (params_.cpu_pred * std::max<size_t>(p->predicates.size(), 1));
-  p->props.rescan_cost = p->props.cost;
-  p->props.order = outer.order;  // NL preserves outer order
-  p->props.site = outer.site;
+  p->props = NlJoinProps(p->inputs[0]->props, p->inputs[1]->props,
+                         JoinOutputCard(*p), p->predicates.size());
 }
 
 void CostModel::FinishMergeJoin(Plan* p) const {
-  const PlanProps& outer = p->inputs[0]->props;
-  const PlanProps& inner = p->inputs[1]->props;
-  p->props.cardinality = JoinOutputCard(*p);
-  p->props.cost = outer.cost + inner.cost +
-                  (outer.cardinality + inner.cardinality) * params_.cpu_tuple +
-                  p->props.cardinality * params_.cpu_tuple;
-  p->props.rescan_cost = p->props.cost;
-  p->props.order = outer.order;  // merge preserves the (sorted) outer order
-  p->props.site = outer.site;
+  p->props = MergeJoinProps(p->inputs[0]->props, p->inputs[1]->props,
+                            JoinOutputCard(*p));
 }
 
 void CostModel::FinishHashJoin(Plan* p) const {
-  const PlanProps& outer = p->inputs[0]->props;
-  const PlanProps& inner = p->inputs[1]->props;
-  p->props.cardinality = JoinOutputCard(*p);
-  p->props.cost = outer.cost + inner.cost +
-                  inner.cardinality * params_.cpu_hash +   // build
-                  outer.cardinality * params_.cpu_hash +   // probe
-                  p->props.cardinality * params_.cpu_tuple;
-  p->props.rescan_cost = p->props.cost;
-  p->props.order = outer.order;  // streaming probe preserves outer order
-  p->props.site = outer.site;
+  p->props = HashJoinProps(p->inputs[0]->props, p->inputs[1]->props,
+                           JoinOutputCard(*p));
 }
 
 void CostModel::FinishTemp(Plan* p) const {
-  const PlanProps& in = p->inputs[0]->props;
-  p->props.cardinality = in.cardinality;
-  p->props.cost = in.cost + in.cardinality * params_.cpu_tuple;
-  p->props.rescan_cost = in.cardinality * params_.cpu_tuple;
-  p->props.order = in.order;
-  p->props.site = in.site;
+  p->props = TempProps(p->inputs[0]->props);
 }
 
 void CostModel::FinishShip(Plan* p) const {
@@ -431,6 +397,58 @@ void CostModel::FinishOrRoute(Plan* p) const {
                                 params_.subquery_pred_factor;
   p->props.rescan_cost = p->props.cost;
   p->props.site = in.site;
+}
+
+PlanProps CostModel::NlJoinProps(const PlanProps& outer, const PlanProps& inner,
+                                 double card, size_t num_preds) const {
+  PlanProps p;
+  p.cardinality = card;
+  double rescans = std::max(outer.cardinality, 1.0);
+  p.cost = outer.cost + inner.cost + (rescans - 1) * inner.rescan_cost +
+           outer.cardinality * inner.cardinality *
+               (params_.cpu_pred * std::max<size_t>(num_preds, 1));
+  p.rescan_cost = p.cost;
+  p.order = outer.order;  // NL preserves outer order
+  p.site = outer.site;
+  return p;
+}
+
+PlanProps CostModel::MergeJoinProps(const PlanProps& outer,
+                                    const PlanProps& inner,
+                                    double card) const {
+  PlanProps p;
+  p.cardinality = card;
+  p.cost = outer.cost + inner.cost +
+           (outer.cardinality + inner.cardinality) * params_.cpu_tuple +
+           card * params_.cpu_tuple;
+  p.rescan_cost = p.cost;
+  p.order = outer.order;  // merge preserves the (sorted) outer order
+  p.site = outer.site;
+  return p;
+}
+
+PlanProps CostModel::HashJoinProps(const PlanProps& outer,
+                                   const PlanProps& inner, double card) const {
+  PlanProps p;
+  p.cardinality = card;
+  p.cost = outer.cost + inner.cost +
+           inner.cardinality * params_.cpu_hash +  // build
+           outer.cardinality * params_.cpu_hash +  // probe
+           card * params_.cpu_tuple;
+  p.rescan_cost = p.cost;
+  p.order = outer.order;  // streaming probe preserves outer order
+  p.site = outer.site;
+  return p;
+}
+
+PlanProps CostModel::TempProps(const PlanProps& in) const {
+  PlanProps p;
+  p.cardinality = in.cardinality;
+  p.cost = in.cost + in.cardinality * params_.cpu_tuple;
+  p.rescan_cost = in.cardinality * params_.cpu_tuple;
+  p.order = in.order;
+  p.site = in.site;
+  return p;
 }
 
 }  // namespace starburst::optimizer

@@ -9,7 +9,10 @@ namespace starburst::optimizer {
 /// properties of its operands ... These changes, including the appropriate
 /// cost and cardinality estimates, are defined by a C function for each
 /// LOLEPOP". `Finish*` takes a plan whose inputs are fully costed and
-/// fills in its estimated properties.
+/// fills in its estimated properties. The join methods and TEMP also have
+/// props-only forms (`*Props`) that derive the same properties from the
+/// inputs' properties alone, so a STAR can price a candidate before it
+/// builds the plan; their `Finish*` functions apply them.
 class CostModel {
  public:
   struct Params {
@@ -46,6 +49,11 @@ class CostModel {
                     double input_rows) const;
   /// Distinct values of a column expression; 0 when unknown.
   double ColumnNdv(const qgm::Expr& e) const;
+  /// Output rows of a `kind` join of `outer_rows` with `inner_rows` rows
+  /// whose predicates keep `join_selectivity` of the pairs (their
+  /// CombinedSelectivity).
+  double JoinCardinality(JoinKind kind, double outer_rows, double inner_rows,
+                         double join_selectivity) const;
 
   // -- property functions, one per LOLEPOP --
   void FinishScan(Plan* p) const;
@@ -54,6 +62,8 @@ class CostModel {
   void FinishFilter(Plan* p) const;
   void FinishProject(Plan* p) const;
   void FinishSort(Plan* p) const;
+  /// The join Finish functions estimate output rows from p->predicates,
+  /// which must then hold every join predicate, equi keys included.
   void FinishNlJoin(Plan* p) const;
   void FinishMergeJoin(Plan* p) const;
   void FinishHashJoin(Plan* p) const;
@@ -67,10 +77,19 @@ class CostModel {
   void FinishIterRef(Plan* p, double working_rows) const;
   void FinishOrRoute(Plan* p) const;
 
+  // -- props-only property functions. `card` is the join's output
+  //    cardinality (JoinCardinality); an NL join evaluates `num_preds`
+  //    predicates per pair of rows. --
+  PlanProps NlJoinProps(const PlanProps& outer, const PlanProps& inner,
+                        double card, size_t num_preds) const;
+  PlanProps MergeJoinProps(const PlanProps& outer, const PlanProps& inner,
+                           double card) const;
+  PlanProps HashJoinProps(const PlanProps& outer, const PlanProps& inner,
+                          double card) const;
+  PlanProps TempProps(const PlanProps& in) const;
+
  private:
   double JoinOutputCard(const Plan& p) const;
-  /// Semi/anti/scalar/all joins emit per-outer-row verdicts.
-  bool KindEmitsOuterOnly(JoinKind k) const;
 
   Params params_;
 };

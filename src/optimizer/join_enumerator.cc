@@ -44,27 +44,12 @@ int PopCount(uint64_t v) { return __builtin_popcountll(v); }
 }  // namespace
 
 void JoinEnumerator::AddPlan(std::vector<PlanPtr>* plans, PlanPtr plan) {
-  // Dominance: drop the newcomer if an existing plan is no more expensive
-  // and provides at least the same order prefix.
-  auto order_covers = [](const std::vector<std::pair<size_t, bool>>& a,
-                         const std::vector<std::pair<size_t, bool>>& b) {
-    if (b.size() > a.size()) return false;
-    for (size_t i = 0; i < b.size(); ++i) {
-      if (a[i] != b[i]) return false;
-    }
-    return true;
-  };
-  for (const PlanPtr& existing : *plans) {
-    if (existing->props.cost <= plan->props.cost &&
-        order_covers(existing->props.order, plan->props.order)) {
-      return;
-    }
-  }
+  // Drop the newcomer if a kept plan dominates it, else drop the kept
+  // plans it dominates.
+  if (AnyDominates(*plans, plan->props)) return;
   plans->erase(std::remove_if(plans->begin(), plans->end(),
                               [&](const PlanPtr& existing) {
-                                return plan->props.cost <= existing->props.cost &&
-                                       order_covers(plan->props.order,
-                                                    existing->props.order);
+                                return Dominates(plan->props, existing->props);
                               }),
                plans->end());
   plans->push_back(std::move(plan));
@@ -139,6 +124,17 @@ Result<std::vector<PlanPtr>> JoinEnumerator::Enumerate(
   Mask full = n == 63 ? ~0ull >> 1 : (1ull << n) - 1;
   bool cartesian = options_.allow_cartesian;
 
+  // One context for every split; each split refills its join fields.
+  StarContext ctx;
+  ctx.catalog = generator_->catalog();
+  ctx.box = box;
+  ctx.kind = JoinKind::kRegular;
+  // The set being built; the JoinMethod STARs' plans enter it.
+  std::vector<PlanPtr>* building = nullptr;
+  const std::function<void(PlanPtr)> keep = [&](PlanPtr plan) {
+    AddPlan(building, std::move(plan));
+  };
+
   for (int attempt = 0; attempt < 2; ++attempt) {
     for (int size = 2; size <= static_cast<int>(n); ++size) {
       for (Mask mask = 1; mask <= full; ++mask) {
@@ -162,7 +158,8 @@ Result<std::vector<PlanPtr>> JoinEnumerator::Enumerate(
           bool dependent = inner_deps != 0;
 
           // Join predicates: available at `mask`, not within either side.
-          std::vector<const Expr*> join_preds;
+          std::vector<const Expr*>& join_preds = ctx.join_preds;
+          join_preds.clear();
           bool connected = dependent;
           for (size_t p = 0; p < predicates.size(); ++p) {
             if (supp[p] == 0) continue;
@@ -178,19 +175,20 @@ Result<std::vector<PlanPtr>> JoinEnumerator::Enumerate(
           if (!connected && !cartesian) continue;
 
           ++stats_.pairs_considered;
+          ctx.inner_dependent = dependent;
+          ctx.join_selectivity =
+              generator_->cost().CombinedSelectivity(join_preds);
+          // Each STAR prices its candidate against `kept` as the STARs
+          // before it left it, and what it builds enters `kept` before the
+          // next STAR runs: the sets are those of building every
+          // candidate and adding them in STAR order.
+          ctx.kept = building = &kept;
           for (const PlanPtr& outer_plan : outer_it->second) {
             for (const PlanPtr& inner_plan : inner_it->second) {
-              StarContext ctx;
-              ctx.catalog = generator_->catalog();
-              ctx.box = box;
               ctx.outer = outer_plan;
               ctx.inner = inner_plan;
-              ctx.join_preds = join_preds;
-              ctx.kind = JoinKind::kRegular;
-              ctx.inner_dependent = dependent;
-              STARBURST_ASSIGN_OR_RETURN(std::vector<PlanPtr> joins,
-                                         generator_->Expand("JoinMethod", ctx));
-              for (PlanPtr& j : joins) AddPlan(&kept, std::move(j));
+              STARBURST_RETURN_IF_ERROR(
+                  generator_->ExpandEach("JoinMethod", ctx, keep));
             }
           }
         }

@@ -35,10 +35,7 @@ Result<PlanPtr> Optimizer::Optimize(const qgm::Graph& graph) {
     for (const qgm::Graph::OrderKey& k : graph.order_by) {
       wanted.push_back({k.head_column, k.ascending});
     }
-    bool already_ordered =
-        plan->props.order.size() >= wanted.size() &&
-        std::equal(wanted.begin(), wanted.end(), plan->props.order.begin());
-    if (!already_ordered) {
+    if (!OrderSatisfies(plan->props.order, wanted)) {
       auto sort = NewPlan(Lolepop::kSort);
       sort->inputs = {plan};
       sort->output = plan->output;

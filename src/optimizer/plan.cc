@@ -1,5 +1,6 @@
 #include "optimizer/plan.h"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -118,6 +119,23 @@ std::shared_ptr<Plan> NewPlan(Lolepop op) {
   auto p = std::make_shared<Plan>();
   p->op = op;
   return p;
+}
+
+bool OrderSatisfies(const std::vector<std::pair<size_t, bool>>& have,
+                    const std::vector<std::pair<size_t, bool>>& need) {
+  return need.size() <= have.size() &&
+         std::equal(need.begin(), need.end(), have.begin());
+}
+
+bool Dominates(const PlanProps& a, const PlanProps& b) {
+  return a.cost <= b.cost && OrderSatisfies(a.order, b.order);
+}
+
+bool AnyDominates(const std::vector<PlanPtr>& plans, const PlanProps& props) {
+  for (const PlanPtr& p : plans) {
+    if (Dominates(p->props, props)) return true;
+  }
+  return false;
 }
 
 namespace {

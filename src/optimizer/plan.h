@@ -142,6 +142,18 @@ struct Plan {
 /// Mutable builder shorthand.
 std::shared_ptr<Plan> NewPlan(Lolepop op);
 
+/// True if an order `have` provides `need`: `need` is a prefix of it.
+bool OrderSatisfies(const std::vector<std::pair<size_t, bool>>& have,
+                    const std::vector<std::pair<size_t, bool>>& need);
+
+/// Dominance, the join enumerator's pruning test: a plan with properties
+/// `a` makes one with `b` redundant if it costs no more and provides b's
+/// order.
+bool Dominates(const PlanProps& a, const PlanProps& b);
+
+/// True if some plan in `plans` dominates `props`.
+bool AnyDominates(const std::vector<PlanPtr>& plans, const PlanProps& props);
+
 /// True if the subtree rooted at `plan` can be cloned for morsel-driven
 /// parallel execution (every clone runs the same operator tree; scans
 /// claim disjoint page ranges, hash joins probe a shared build table):

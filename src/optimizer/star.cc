@@ -43,6 +43,16 @@ std::vector<std::string> StarRegistry::Names() const {
 
 Result<std::vector<PlanPtr>> PlanGenerator::Expand(
     const std::string& nonterminal, const StarContext& ctx) {
+  std::vector<PlanPtr> alternatives;
+  STARBURST_RETURN_IF_ERROR(ExpandEach(
+      nonterminal, ctx,
+      [&alternatives](PlanPtr p) { alternatives.push_back(std::move(p)); }));
+  return alternatives;
+}
+
+Status PlanGenerator::ExpandEach(const std::string& nonterminal,
+                                 const StarContext& ctx,
+                                 const std::function<void(PlanPtr)>& keep) {
   const std::vector<Star>* stars = registry_->ForNonterminal(nonterminal);
   if (stars == nullptr) {
     return Status::NotFound("no STAR defines nonterminal '" + nonterminal + "'");
@@ -51,10 +61,11 @@ Result<std::vector<PlanPtr>> PlanGenerator::Expand(
   for (const Star& star : *stars) {
     if (star.rank > options_.max_rank) continue;  // rank pruning
     ++stats_.stars_evaluated;
+    alternatives.clear();
     STARBURST_RETURN_IF_ERROR(star.generate(*this, ctx, &alternatives));
+    for (PlanPtr& p : alternatives) keep(std::move(p));
   }
-  stats_.plans_generated += 0;  // counted per-plan by the stars
-  return alternatives;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -105,31 +116,46 @@ std::vector<std::pair<size_t, size_t>> ExtractEquiKeys(
   return keys;
 }
 
-std::vector<ColumnBinding> JoinOutput(const StarContext& ctx) {
-  std::vector<ColumnBinding> out = ctx.outer->output;
+/// The join plan a JoinMethod STAR priced at `props`. Its inputs are
+/// ctx's streams or a TEMP or glue over them; it emits ctx.outer's
+/// columns, then ctx.inner's unless the kind emits outer rows only.
+std::shared_ptr<Plan> NewJoin(Lolepop op, const StarContext& ctx,
+                              PlanPtr outer, PlanPtr inner, PlanProps props) {
+  auto join = NewPlan(op);
+  join->join_kind = ctx.kind;
+  join->join_set_function = ctx.set_function;
+  join->quant_compare = ctx.quant_compare;
+  join->output = ctx.outer->output;
   bool outer_only = ctx.kind == JoinKind::kExists ||
                     ctx.kind == JoinKind::kAnti ||
                     ctx.kind == JoinKind::kOpAll ||
                     ctx.kind == JoinKind::kSetPred;
   if (!outer_only) {
-    out.insert(out.end(), ctx.inner->output.begin(), ctx.inner->output.end());
+    join->output.insert(join->output.end(), ctx.inner->output.begin(),
+                        ctx.inner->output.end());
   }
-  return out;
+  join->inputs = {std::move(outer), std::move(inner)};
+  join->props = std::move(props);
+  return join;
 }
 
-void FillJoinCommon(Plan* join, const StarContext& ctx) {
-  join->join_kind = ctx.kind;
-  join->join_set_function = ctx.set_function;
-  join->quant_compare = ctx.quant_compare;
-  join->output = JoinOutput(ctx);
+/// Output rows of the join in `ctx` over an inner of `inner_rows` rows.
+double JoinCard(const PlanGenerator& gen, const StarContext& ctx,
+                double inner_rows) {
+  double selectivity = ctx.join_selectivity >= 0
+                           ? ctx.join_selectivity
+                           : gen.cost().CombinedSelectivity(ctx.join_preds);
+  return gen.cost().JoinCardinality(ctx.kind, ctx.outer->props.cardinality,
+                                    inner_rows, selectivity);
 }
 
-bool OrderSatisfies(const std::vector<std::pair<size_t, bool>>& have,
-                    const std::vector<std::pair<size_t, bool>>& need) {
-  if (need.size() > have.size()) return false;
-  for (size_t i = 0; i < need.size(); ++i) {
-    if (have[i] != need[i]) return false;
-  }
+/// True if a plan the enumerator keeps (ctx.kept) dominates a candidate
+/// priced at `props`; the candidate is then counted as costed and not
+/// built.
+bool Dominated(PlanGenerator& gen, const StarContext& ctx,
+               const PlanProps& props) {
+  if (ctx.kept == nullptr || !AnyDominates(*ctx.kept, props)) return false;
+  gen.CountUnbuilt();
   return true;
 }
 
@@ -261,11 +287,13 @@ Status IndexScanStar(PlanGenerator& gen, const StarContext& ctx,
 
 Status NlJoinStar(PlanGenerator& gen, const StarContext& ctx,
                   std::vector<PlanPtr>* out) {
-  auto join = NewPlan(Lolepop::kNlJoin);
-  join->inputs = {ctx.outer, ctx.inner};
+  PlanProps props = gen.cost().NlJoinProps(
+      ctx.outer->props, ctx.inner->props,
+      JoinCard(gen, ctx, ctx.inner->props.cardinality), ctx.join_preds.size());
+  if (Dominated(gen, ctx, props)) return Status::OK();
+  auto join = NewJoin(Lolepop::kNlJoin, ctx, ctx.outer, ctx.inner,
+                      std::move(props));
   join->predicates = ctx.join_preds;
-  FillJoinCommon(join.get(), ctx);
-  gen.cost().FinishNlJoin(join.get());
   gen.CountPlan();
   out->push_back(std::move(join));
   return Status::OK();
@@ -280,13 +308,21 @@ Status NlJoinTempStar(PlanGenerator& gen, const StarContext& ctx,
                                           gen.cost().params().cpu_tuple * 1.01) {
     return Status::OK();
   }
+  PlanProps temp_props = gen.cost().TempProps(ctx.inner->props);
+  PlanProps props = gen.cost().NlJoinProps(
+      ctx.outer->props, temp_props,
+      JoinCard(gen, ctx, temp_props.cardinality), ctx.join_preds.size());
+  if (Dominated(gen, ctx, props)) return Status::OK();
   auto temp = NewPlan(Lolepop::kTemp);
   temp->inputs = {ctx.inner};
   temp->output = ctx.inner->output;
-  gen.cost().FinishTemp(temp.get());
-  StarContext temped = ctx;
-  temped.inner = temp;
-  return NlJoinStar(gen, temped, out);
+  temp->props = std::move(temp_props);
+  auto join = NewJoin(Lolepop::kNlJoin, ctx, ctx.outer, std::move(temp),
+                      std::move(props));
+  join->predicates = ctx.join_preds;
+  gen.CountPlan();
+  out->push_back(std::move(join));
+  return Status::OK();
 }
 
 Status HashJoinStar(PlanGenerator& gen, const StarContext& ctx,
@@ -309,18 +345,15 @@ Status HashJoinStar(PlanGenerator& gen, const StarContext& ctx,
   std::vector<std::pair<size_t, size_t>> keys =
       ExtractEquiKeys(ctx.outer, ctx.inner, ctx.join_preds, &residual);
   if (keys.empty()) return Status::OK();
-  auto join = NewPlan(Lolepop::kHashJoin);
-  join->inputs = {ctx.outer, ctx.inner};
+  // Output rows are estimated from every join predicate, equi keys too.
+  PlanProps props = gen.cost().HashJoinProps(
+      ctx.outer->props, ctx.inner->props,
+      JoinCard(gen, ctx, ctx.inner->props.cardinality));
+  if (Dominated(gen, ctx, props)) return Status::OK();
+  auto join = NewJoin(Lolepop::kHashJoin, ctx, ctx.outer, ctx.inner,
+                      std::move(props));
   join->equi_keys = std::move(keys);
   join->predicates = std::move(residual);
-  FillJoinCommon(join.get(), ctx);
-  // Output cardinality estimation needs every predicate; fold the equi
-  // keys back in through the original join predicate list.
-  auto all_preds = ctx.join_preds;
-  auto saved = join->predicates;
-  join->predicates = all_preds;
-  gen.cost().FinishHashJoin(join.get());
-  join->predicates = std::move(saved);
   gen.CountPlan();
   out->push_back(std::move(join));
   return Status::OK();
@@ -352,15 +385,25 @@ Status MergeJoinStar(PlanGenerator& gen, const StarContext& ctx,
     outer_order.push_back({o, true});
     inner_order.push_back({i, true});
   }
+  // Priced before the glue is expanded. Glue never makes a stream cheaper,
+  // so the unglued inputs' costs bound the cost from below. The output
+  // order is exact for the built-in Glue STARs: the outer's own order if
+  // it already has the key order, else the key order their SORT gives it.
+  double card = JoinCard(gen, ctx, ctx.inner->props.cardinality);
+  PlanProps lower =
+      gen.cost().MergeJoinProps(ctx.outer->props, ctx.inner->props, card);
+  if (!OrderSatisfies(lower.order, outer_order)) lower.order = outer_order;
+  if (Dominated(gen, ctx, lower)) return Status::OK();
+
   StarContext outer_glue;
   outer_glue.glue_input = ctx.outer;
-  outer_glue.required_order = outer_order;
+  outer_glue.required_order = std::move(outer_order);
   outer_glue.required_site = ctx.outer->props.site;
   STARBURST_ASSIGN_OR_RETURN(std::vector<PlanPtr> outers,
                              gen.Expand("Glue", outer_glue));
   StarContext inner_glue;
   inner_glue.glue_input = ctx.inner;
-  inner_glue.required_order = inner_order;
+  inner_glue.required_order = std::move(inner_order);
   inner_glue.required_site = ctx.inner->props.site;
   STARBURST_ASSIGN_OR_RETURN(std::vector<PlanPtr> inners,
                              gen.Expand("Glue", inner_glue));
@@ -372,16 +415,13 @@ Status MergeJoinStar(PlanGenerator& gen, const StarContext& ctx,
     }
     return best;
   };
-  auto join = NewPlan(Lolepop::kMergeJoin);
-  join->inputs = {cheapest(outers), cheapest(inners)};
+  PlanPtr outer = cheapest(outers);
+  PlanPtr inner = cheapest(inners);
+  PlanProps props = gen.cost().MergeJoinProps(outer->props, inner->props, card);
+  auto join = NewJoin(Lolepop::kMergeJoin, ctx, std::move(outer),
+                      std::move(inner), std::move(props));
   join->equi_keys = std::move(keys);
   join->predicates = std::move(residual);
-  FillJoinCommon(join.get(), ctx);
-  auto all_preds = ctx.join_preds;
-  auto saved = join->predicates;
-  join->predicates = all_preds;
-  gen.cost().FinishMergeJoin(join.get());
-  join->predicates = std::move(saved);
   gen.CountPlan();
   out->push_back(std::move(join));
   return Status::OK();

@@ -35,6 +35,15 @@ struct StarContext {
   bool inner_dependent = false;
   /// For quantified-compare joins (§7 join kinds): outer-expr vs inner.
   const qgm::Expr* quant_compare = nullptr;
+  /// CombinedSelectivity of join_preds if the caller computed it (the
+  /// join enumerator does, once per split of an iterator set); negative
+  /// if not.
+  double join_selectivity = -1;
+  /// Set by the join enumerator: the plans it keeps so far for the
+  /// iterator set being built. A JoinMethod STAR prices its candidate from
+  /// the inputs' properties first and builds it only if none of these
+  /// dominates it, since the enumerator would discard it anyway.
+  const std::vector<PlanPtr>* kept = nullptr;
 
   // Glue: achieve required properties on a planned stream.
   PlanPtr glue_input;
@@ -91,7 +100,10 @@ class PlanGenerator {
 
   struct Stats {
     uint64_t stars_evaluated = 0;
+    /// Plans costed, whether built or not.
     uint64_t plans_generated = 0;
+    /// Plans built.
+    uint64_t plans_built = 0;
   };
 
   PlanGenerator(const StarRegistry* registry, const CostModel* cost,
@@ -103,12 +115,25 @@ class PlanGenerator {
   Result<std::vector<PlanPtr>> Expand(const std::string& nonterminal,
                                       const StarContext& ctx);
 
+  /// Expand, handing each STAR's alternatives to `keep` before the next
+  /// STAR runs. The join enumerator keeps them in the set ctx.kept points
+  /// to, so every STAR prices its candidate against all the plans the
+  /// STARs before it kept, in STAR order.
+  Status ExpandEach(const std::string& nonterminal, const StarContext& ctx,
+                    const std::function<void(PlanPtr)>& keep);
+
   const CostModel& cost() const { return *cost_; }
   const Catalog* catalog() const { return catalog_; }
   Stats& stats() { return stats_; }
   const Options& options() const { return options_; }
 
-  void CountPlan() { ++stats_.plans_generated; }
+  /// A plan was costed and built.
+  void CountPlan() {
+    ++stats_.plans_generated;
+    ++stats_.plans_built;
+  }
+  /// A candidate was costed and not built: a kept plan dominates it.
+  void CountUnbuilt() { ++stats_.plans_generated; }
 
  private:
   const StarRegistry* registry_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,35 @@ TEST_F(ObservabilityEngineTest, ExplainAnalyzeActualRowsMatchResultSet) {
   EXPECT_NE(text.find("result rows: " + std::to_string(expected_rows)),
             std::string::npos)
       << text;
+}
+
+TEST_F(ObservabilityEngineTest, ExplainAnalyzeReportsOptimizerCounters) {
+  std::string text = Joined(Must(
+      "EXPLAIN ANALYZE SELECT q.partno FROM quotations q, inventory i, "
+      "quotations r WHERE q.partno = i.partno AND i.partno = r.partno"));
+  const optimizer::Optimizer::Stats& s = db_.last_metrics().optimizer_stats;
+  char want[200];
+  std::snprintf(want, sizeof want,
+                "\noptimizer: %llu join pairs, %llu candidates costed, "
+                "%llu built, %llu kept\n",
+                static_cast<unsigned long long>(s.enumerator.pairs_considered),
+                static_cast<unsigned long long>(s.generator.plans_generated),
+                static_cast<unsigned long long>(s.generator.plans_built),
+                static_cast<unsigned long long>(s.enumerator.plans_kept));
+  size_t at = text.find(want);
+  ASSERT_NE(at, std::string::npos) << text;
+  // Next to the phase timings, in the Execution section.
+  size_t phases = text.rfind("\nphases (us): ", at);
+  ASSERT_NE(phases, std::string::npos) << text;
+  EXPECT_EQ(text.find('\n', phases + 1), at) << text;
+  EXPECT_LT(text.find("== Execution =="), at);
+
+  EXPECT_GT(s.enumerator.pairs_considered, 0u);
+  EXPECT_GT(s.enumerator.plans_kept, 0u);
+  // The join STARs cost every candidate but build only those no kept plan
+  // dominates.
+  EXPECT_GT(s.generator.plans_built, 0u);
+  EXPECT_LT(s.generator.plans_built, s.generator.plans_generated);
 }
 
 TEST_F(ObservabilityEngineTest, ExplainVerboseSkipsExecution) {
